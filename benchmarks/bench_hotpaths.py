@@ -159,7 +159,7 @@ def bench_codec_kernels(results: list[dict], *, smoke: bool) -> None:
 
 
 def bench_box_qp(results: list[dict], *, smoke: bool) -> None:
-    print("box QP sweeps:")
+    print("box QP:")
     n = 200 if smoke else 600
     repeats = 3 if smoke else 5
     rng = np.random.default_rng(5)

@@ -65,7 +65,10 @@ class MetricRegistry:
         docstring); ``amount`` must be non-negative (counters are
         monotonic).
         """
-        self._validate_name(name)
+        # Only valid names ever become keys, so a known key skips the
+        # check; the type test keeps unhashable names out of the lookup.
+        if type(name) is not str or name not in self._counters:
+            self._validate_name(name)
         if amount < 0:
             raise ValueError(f"counters are monotonic; got negative amount {amount}")
         self._counters[name] += amount

@@ -43,7 +43,7 @@ from repro.core.results import IterationRecord, TrainingHistory
 from repro.data.dataset import Dataset
 from repro.svm.kernels import Kernel, RBFKernel
 from repro.svm.model import accuracy
-from repro.svm.qp import solve_box_qp
+from repro.svm.qp import BoxQPResult, solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
 
@@ -86,6 +86,9 @@ class HorizontalKernelWorker:
         Shared kernel function.
     C, rho, n_learners:
         As in the linear scheme.
+
+    As in the linear scheme, ``last_qp`` holds the last local solve's
+    :class:`~repro.svm.qp.BoxQPResult`.
     """
 
     def __init__(
@@ -140,6 +143,7 @@ class HorizontalKernelWorker:
         self.beta = 0.0
         self._u = np.zeros(n_land)
         self._started = False
+        self.last_qp: BoxQPResult | None = None
 
     @property
     def n_landmarks(self) -> int:
@@ -170,6 +174,7 @@ class HorizontalKernelWorker:
             tol=self.qp_tol,
             max_sweeps=self.qp_max_sweeps,
         )
+        self.last_qp = result
         self._lambda = result.x
 
         ylam = self.y * self._lambda

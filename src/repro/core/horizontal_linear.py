@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.results import IterationRecord, TrainingHistory
 from repro.data.dataset import Dataset
 from repro.svm.model import accuracy
-from repro.svm.qp import solve_box_qp
+from repro.svm.qp import BoxQPResult, solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
 
@@ -55,7 +55,9 @@ class HorizontalLinearWorker:
     state (``w_m``, ``b_m``, the scaled duals ``gamma_m``, ``beta_m``,
     and the warm-start ``lambda``).  The only thing that ever leaves the
     worker is the return value of :meth:`step` — the masked summands of
-    the consensus average.
+    the consensus average.  The last local solve's
+    :class:`~repro.svm.qp.BoxQPResult` stays on the worker as ``last_qp``
+    so the caller can see whether it converged.
 
     Parameters
     ----------
@@ -104,6 +106,7 @@ class HorizontalLinearWorker:
         self.beta = 0.0
         self._started = False
         self.last_output: dict[str, np.ndarray] | None = None
+        self.last_qp: BoxQPResult | None = None
 
     @property
     def n_samples(self) -> int:
@@ -139,6 +142,7 @@ class HorizontalLinearWorker:
             tol=self.qp_tol,
             max_sweeps=self.qp_max_sweeps,
         )
+        self.last_qp = result
         self._lambda = result.x
 
         self.w = (self.rho * u + (self._lambda * self.y) @ self.X) / self._a

@@ -73,7 +73,9 @@ class HorizontalSVMMapper(IterativeMapper):
         """One ADMM local step against the broadcast consensus ``(z, s)``.
 
         Emits an ``admm.local_step`` span tagged with the mapper's node
-        and iteration.
+        and iteration, carrying the local QP's ``qp_iterations`` and
+        ``qp_kkt_residual``; a solve that misses its tolerance also
+        increments ``admm.qp_unconverged``.
         """
         if self.worker is None:
             raise RuntimeError("mapper was never configured")
@@ -82,8 +84,16 @@ class HorizontalSVMMapper(IterativeMapper):
             kind="trainer",
             node=context.node_id,
             iteration=context.iteration,
-        ):
-            return self.worker.step(broadcast["z"], broadcast["s"])
+        ) as span:
+            out = self.worker.step(broadcast["z"], broadcast["s"])
+            qp = self.worker.last_qp
+            assert qp is not None
+            span.attrs.update(
+                qp_iterations=qp.iterations, qp_kkt_residual=qp.kkt_residual
+            )
+            if not qp.converged:
+                context.network.metrics.increment("admm.qp_unconverged")
+            return out
 
 
 class HorizontalConsensusReducer(IterativeReducer):

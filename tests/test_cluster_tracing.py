@@ -257,6 +257,17 @@ class TestMetricRegistryValidation:
         with pytest.raises(ValueError):
             MetricRegistry().increment(bad)
 
+    def test_malformed_name_rejected_on_every_call(self):
+        registry = MetricRegistry()
+        registry.increment("a.b")
+        registry.increment("a.b")
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                registry.increment("a..b")
+            with pytest.raises(TypeError, match="must be str"):
+                registry.increment(["a.b"])
+        assert registry.as_dict() == {"a.b": 2.0}
+
     def test_single_segment_names_allowed(self):
         registry = MetricRegistry()
         registry.increment("a")
@@ -292,6 +303,23 @@ class TestTracedTrainingRun:
         iterations = range(len(traced_run.history_))
         seen = {(s.iteration, s.node) for s in spans}
         assert seen == {(i, n) for i in iterations for n in nodes}
+
+    def test_local_step_spans_carry_qp_diagnostics(self, traced_run):
+        spans = [s for s in traced_run.network_.tracer.spans if s.name == "admm.local_step"]
+        assert all(s.attrs["qp_iterations"] >= 0 for s in spans)
+        assert max(s.attrs["qp_kkt_residual"] for s in spans) <= 1e-8
+        assert traced_run.profiler_.get("admm.qp_unconverged") == 0.0
+
+    def test_truncated_local_solves_are_counted(self):
+        train, _ = train_test_split(make_blobs(120, seed=0), seed=0)
+        parts = horizontal_partition(train, 3, seed=0)
+        model = PrivacyPreservingSVM(
+            C=1e4, rho=1e-3, max_iter=3, seed=0, qp_max_sweeps=1, on_health="ignore"
+        ).fit(parts)
+        spans = [s for s in model.network_.tracer.spans if s.name == "admm.local_step"]
+        unconverged = [s for s in spans if s.attrs["qp_kkt_residual"] > 1e-8]
+        assert unconverged and all(s.attrs["qp_iterations"] == 1 for s in unconverged)
+        assert model.profiler_.get("admm.qp_unconverged") == len(unconverged)
 
     def test_round_spans_nest_driver_phases(self, traced_run):
         tracer = traced_run.network_.tracer

@@ -91,6 +91,42 @@ class TestHorizontalLinearConvergence:
             HorizontalLinearSVM().fit(parts[:1])
 
 
+class TestLocalSolveAccuracy:
+    """The default local QP tolerance is tight enough for the consensus."""
+
+    def test_linear_consensus_matches_exact_local_solves(self, cancer_parts):
+        parts, _, test = cancer_parts
+        runs = [
+            HorizontalLinearSVM(C=50.0, rho=100.0, max_iter=30, qp_tol=qp_tol).fit(parts)
+            for qp_tol in (1e-8, 1e-12)
+        ]
+        np.testing.assert_allclose(
+            runs[0].consensus_weights_, runs[1].consensus_weights_, atol=1e-6
+        )
+        assert runs[0].consensus_bias_ == pytest.approx(runs[1].consensus_bias_, abs=1e-6)
+        assert runs[0].score(test.X, test.y) == runs[1].score(test.X, test.y)
+        assert all(w.last_qp.converged for run in runs for w in run.workers_)
+
+    def test_kernel_consensus_matches_exact_local_solves(self):
+        ds = make_xor_task(200, seed=3)
+        parts = horizontal_partition(ds, 4, seed=0)
+        runs = [
+            HorizontalKernelSVM(
+                RBFKernel(gamma=1.0),
+                n_landmarks=15,
+                landmark_scale=1.5,
+                max_iter=30,
+                seed=0,
+                qp_tol=qp_tol,
+            ).fit(parts)
+            for qp_tol in (1e-8, 1e-12)
+        ]
+        np.testing.assert_allclose(runs[0].consensus_, runs[1].consensus_, atol=1e-6)
+        assert runs[0].consensus_bias_ == pytest.approx(runs[1].consensus_bias_, abs=1e-6)
+        assert runs[0].score(ds.X, ds.y) == runs[1].score(ds.X, ds.y)
+        assert all(w.last_qp.converged for run in runs for w in run.workers_)
+
+
 class TestHorizontalLinearWorker:
     def test_step_output_keys_and_shapes(self, cancer_parts):
         parts, _, _ = cancer_parts

@@ -161,15 +161,19 @@ class TestVerdict:
 
 @pytest.fixture()
 def divergent_setup():
-    """Partitions plus an ADMM config that provably diverges.
+    """Partitions plus an ADMM config whose run the monitor flags diverging.
 
-    Huge slack penalty with a tiny consensus penalty makes the local
-    solutions overshoot the consensus every round — the residual series
-    grows geometrically within a handful of iterations.
+    Exact ADMM on a convex problem converges for any rho > 0 (with exact
+    local solves this run is healthy), so the fault is injected
+    explicitly: each local dual QP gets a single projected-Newton
+    iteration (``qp_max_sweeps=1``).  When the learners' active sets
+    shift, those truncated solves miss, and the consensus change grows
+    by orders of magnitude over consecutive rounds (about 8.5e-6, 8.6e-4,
+    0.77 in rounds 4-6), which the divergence detector flags.
     """
-    train, _ = train_test_split(make_blobs(120, seed=0), seed=0)
+    train, _ = train_test_split(make_blobs(240, seed=0), seed=0)
     parts = horizontal_partition(train, 3, seed=0)
-    config = dict(C=1e4, rho=1e-3, max_iter=6, seed=0)
+    config = dict(C=1e4, rho=1e-3, max_iter=8, seed=0, qp_max_sweeps=1)
     return parts, config
 
 

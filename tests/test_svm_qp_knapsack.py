@@ -83,6 +83,145 @@ class TestSolveBoxQP:
         assert np.all(result.x >= 0.0) and np.all(result.x <= 1.0)
 
 
+def lbfgsb_objective(H, d, lower, upper, x0):
+    """Reference optimum from scipy's L-BFGS-B, run to tight tolerances."""
+    from scipy.optimize import minimize
+
+    n = H.shape[0]
+    lo = np.broadcast_to(lower, (n,))
+    hi = np.broadcast_to(upper, (n,))
+    bounds = [(a, None if np.isinf(b) else b) for a, b in zip(lo, hi)]
+    ref = minimize(
+        lambda x: (0.5 * x @ H @ x + d @ x, H @ x + d),
+        np.clip(x0, lo, hi),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000, "maxcor": 50},
+    )
+    return float(ref.fun)
+
+
+def hlin_dual(rng, n=75, k=64, C=50.0):
+    """An H-lin local dual QP (rank k + 1 < n), as HorizontalLinearWorker builds it."""
+    X = rng.normal(size=(n, k))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    X += 0.8 * y[:, None]
+    a, rho = 1.0 / 8 + 100.0, 100.0
+    xy = X * y[:, None]
+    H = xy @ xy.T / a + np.outer(y, y) / rho
+    u = rng.normal(scale=0.1, size=k)
+    d = (rho / a) * (y * (X @ u)) + 0.3 * y - 1.0
+    return H, d, C
+
+
+class TestAgainstLBFGSB:
+    """KKT within ``tol`` and an objective no worse than L-BFGS-B's."""
+
+    TOL = 1e-8
+
+    def check(self, H, d, lower, upper, x0=None):
+        result = solve_box_qp(H, d, lower, upper, x0=x0, tol=self.TOL)
+        start = np.zeros(H.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
+        reference = lbfgsb_objective(H, d, lower, upper, start)
+        assert result.converged
+        assert result.kkt_residual <= self.TOL
+        assert result.objective <= reference + 1e-9 * max(1.0, abs(reference))
+        lo = np.broadcast_to(lower, H.shape[:1])
+        hi = np.broadcast_to(upper, H.shape[:1])
+        assert np.all(result.x >= lo) and np.all(result.x <= hi)
+        return result
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient_hlin_dual_cold(self, seed):
+        H, d, C = hlin_dual(np.random.default_rng(seed))
+        assert np.linalg.matrix_rank(H) < H.shape[0]
+        self.check(H, d, 0.0, C)
+
+    def test_rank_deficient_hlin_dual_warm(self, rng):
+        H, d, C = hlin_dual(rng)
+        first = solve_box_qp(H, d, 0.0, C)
+        d2 = d + rng.normal(scale=0.05, size=d.shape[0])
+        warm = self.check(H, d2, 0.0, C, x0=first.x)
+        assert warm.iterations <= 5
+
+    def test_zero_diagonal_coordinates(self, rng):
+        A = rng.normal(size=(6, 4))
+        H = np.zeros((8, 8))
+        H[:6, :6] = A @ A.T  # coordinates 6 and 7 are linear
+        d = rng.normal(size=8)
+        d[6], d[7] = -2.0, 3.0
+        result = self.check(H, d, 0.0, 5.0)
+        assert result.x[6] == 5.0 and result.x[7] == 0.0
+
+    def test_unbounded_above(self, rng):
+        H = random_psd(rng, 10, rank=6) + 0.01 * np.eye(10)
+        d = rng.normal(size=10)
+        result = self.check(H, d, 0.0, np.inf)
+        assert np.any(result.x > 0.0)
+
+    def test_singular_free_block_on_a_bound(self):
+        # Rank 2 of 5: the free block stays singular while coordinates on
+        # their bounds are pushed out of the box by its Newton step.
+        H = np.array(
+            [
+                [19.5625, 3.0, -6.5, -25.40625, 5.75],
+                [3.0, 1.0, 0.0, -4.0, 3.0],
+                [-6.5, 0.0, 4.0, 8.25, 2.0],
+                [-25.40625, -4.0, 8.25, 33.015625, -7.875],
+                [5.75, 3.0, 2.0, -7.875, 10.0],
+            ]
+        )
+        d = np.array([0.1, 0.1, 0.1, 0.6, 0.1])
+        result = self.check(H, d, 0.0, np.inf, x0=np.ones(5))
+        np.testing.assert_array_equal(result.x, np.zeros(5))
+
+    def test_badly_scaled_singular_block(self):
+        # H ~ 1e-24 against a gradient ~ 1: the shifted Newton step is
+        # ~1e36 long, so backtracking must land on a breakpoint.
+        H = np.full((2, 2), 1e-24)
+        d = np.array([0.1, 1.1])
+        result = self.check(H, d, 0.0, np.inf, x0=np.ones(2))
+        np.testing.assert_array_equal(result.x, np.zeros(2))
+
+    def test_x0_outside_box(self, rng):
+        H = random_psd(rng, 12, rank=8)
+        d = rng.normal(size=12)
+        self.check(H, d, -1.0, 2.0, x0=rng.normal(scale=10.0, size=12))
+
+    @pytest.mark.parametrize("h, dd", [(2.0, -3.0), (2.0, 10.0), (0.5, -100.0), (0.0, -1.0)])
+    def test_single_coordinate(self, h, dd):
+        result = self.check(np.array([[h]]), np.array([dd]), 0.0, 4.0)
+        expected = 4.0 if h == 0.0 else min(max(-dd / h, 0.0), 4.0)
+        assert result.x[0] == pytest.approx(expected)
+
+    def test_every_coordinate_at_a_bound(self, rng):
+        H = random_psd(rng, 10, rank=5)
+        signs = np.where(rng.random(10) < 0.5, -1.0, 1.0)
+        d = signs * 1e3  # the linear term dominates: each coordinate pinned
+        result = self.check(H, d, 0.0, 1.0)
+        np.testing.assert_array_equal(result.x, np.where(signs < 0, 1.0, 0.0))
+
+
+class TestUnconvergedSolves:
+    def test_budget_exhaustion_is_reported_and_monotone(self):
+        H, d, C = hlin_dual(np.random.default_rng(7))
+        start = np.full(H.shape[0], C / 2)
+        f0 = 0.5 * start @ H @ start + d @ start
+        result = solve_box_qp(H, d, 0.0, C, x0=start, max_sweeps=1)
+        assert result.iterations == 1
+        assert not result.converged
+        assert result.kkt_residual > 1e-8
+        assert result.objective <= f0
+
+    def test_zero_budget_returns_start(self, rng):
+        H = random_psd(rng, 5) + np.eye(5)
+        d = rng.normal(size=5)
+        result = solve_box_qp(H, d, 0.0, 1.0, x0=np.full(5, 0.5), max_sweeps=0)
+        np.testing.assert_array_equal(result.x, np.full(5, 0.5))
+        assert result.iterations == 0
+
+
 class TestProjectedGradientResidual:
     def test_zero_at_interior_stationary_point(self):
         grad = np.zeros(3)

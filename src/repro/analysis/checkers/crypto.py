@@ -25,7 +25,7 @@ __all__ = ["CryptoMisuseChecker", "is_crypto_scope"]
 #: Calls whose results live in the modular/ciphertext domain.
 CIPHER_PRODUCERS = frozenset(
     {"encode", "encode_array", "random_vector", "random_vector_array",
-     "zeros_array", "shamir_share", "additive_share",
+     "zeros_array", "sum_arrays", "shamir_share", "additive_share",
      "encrypt", "encrypt_raw", "encrypt_vector"}
 )
 

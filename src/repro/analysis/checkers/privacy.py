@@ -61,7 +61,7 @@ DECLASSIFIED_ATTRS = frozenset(
 #: fixed-point masking, secret sharing, Paillier encryption, and the
 #: secure aggregation protocols (whose outputs are sums by construction).
 SANITIZER_CALLS = frozenset(
-    {"encode", "encode_array", "add", "subtract",
+    {"encode", "encode_array", "add", "subtract", "sum_arrays",
      "random_vector", "random_vector_array", "zeros_array",
      "shamir_share", "additive_share",
      "encrypt", "encrypt_raw", "encrypt_vector",

@@ -51,6 +51,9 @@ SEED_EXCHANGE_METHOD = "_exchange_pairwise_seeds"
 #: Message kind carrying exchanged pad seeds.
 SEED_KIND = "mask-seed"
 
+#: The codec's multi-operand ``sum(plus) - sum(minus)`` netting op.
+BATCHED_SUM = "sum_arrays"
+
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -88,6 +91,34 @@ def _operand_name(node: ast.AST) -> str | None:
     ):
         return node.value.id
     return None
+
+
+def _container_name(node: ast.AST) -> str | None:
+    """The list a pad container expression names (``c`` or ``c[key]``)."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _batched_operands(
+    node: ast.AST, bindings: dict[str, int], appended: dict[str, list[str]]
+) -> list[str]:
+    """Mask names an operand list of a batched sum carries.
+
+    The operand is a container the round appended masks to
+    (``sent[p]``), or a literal list/tuple of masks and starred
+    containers (``[share, *pads]``).
+    """
+    if isinstance(node, (ast.List, ast.Tuple)):
+        names: list[str] = []
+        for element in node.elts:
+            if isinstance(element, ast.Starred):
+                names += _batched_operands(element.value, bindings, appended)
+            elif (name := _operand_name(element)) is not None and name in bindings:
+                names.append(name)
+        return names
+    container = _container_name(node)
+    return list(appended.get(container, ())) if container else []
 
 
 def _assigned_names(node: ast.Assign) -> list[str]:
@@ -159,6 +190,10 @@ class ProtocolInvariantChecker(ModuleChecker):
         send traffic; helper functions that only generate or only apply
         are judged at their call sites' enclosing round.
 
+        Masks enter the ledger through pairwise ``add``/``subtract``
+        calls, ``+``/``-`` expressions, or a batched
+        ``sum_arrays(plus, minus)``: every mask appended to a container
+        passed as ``plus`` counts ``+`` and as ``minus`` counts ``-``.
         The ledger is aggregated across the round's mask bindings: the
         generated mask carries the ``+`` and the received one (possibly
         under a ``Message`` envelope name) carries the ``-``, so a round
@@ -183,6 +218,19 @@ class ProtocolInvariantChecker(ModuleChecker):
         if not bindings or not sends:
             return
 
+        appended: dict[str, list[str]] = {}  # container -> masks appended
+        for stmt in _scope_statements(func):
+            if (
+                isinstance(stmt, ast.Call)
+                and _call_name(stmt) == "append"
+                and isinstance(stmt.func, ast.Attribute)
+                and len(stmt.args) == 1
+                and (name := _operand_name(stmt.args[0])) is not None
+                and name in bindings
+                and (container := _container_name(stmt.func.value)) is not None
+            ):
+                appended.setdefault(container, []).append(name)
+
         adds: dict[str, int] = {name: 0 for name in bindings}
         subtracts: dict[str, int] = {name: 0 for name in bindings}
         for stmt in _scope_statements(func):
@@ -193,6 +241,15 @@ class ProtocolInvariantChecker(ModuleChecker):
                     for arg in stmt.args:
                         name = _operand_name(arg)
                         if name in bindings:
+                            counter[name] += 1
+                elif op == BATCHED_SUM:
+                    operands = dict(enumerate(stmt.args))
+                    for keyword in stmt.keywords:
+                        if keyword.arg in ("plus", "minus"):
+                            operands[0 if keyword.arg == "plus" else 1] = keyword.value
+                    for position, operand in operands.items():
+                        counter = adds if position == 0 else subtracts
+                        for name in _batched_operands(operand, bindings, appended):
                             counter[name] += 1
             elif isinstance(stmt, ast.BinOp) and isinstance(
                 stmt.op, (ast.Add, ast.Sub)

@@ -25,45 +25,36 @@ Two backends implement the same arithmetic:
 * the **vectorized residue-array backend** (:class:`ResidueVector`) —
   for power-of-two moduli, residues are fixed-width little-endian
   multi-limb ``uint64`` numpy arrays of shape ``(n, L)`` (``L = 2`` for
-  the default 128-bit group) with carry-propagating vectorized
-  ``add``/``subtract``, batched ``encode``/``decode``, and masks drawn
-  as one ``rng.integers`` block per vector instead of ``n × n_words``
-  scalar Python calls.  Odd (prime) moduli fall back to object-dtype
-  arrays of Python ints, which keeps the arithmetic exact where a
-  fixed limb count cannot.
+  the default 128-bit group) with batched ``encode``/``decode`` and one
+  multi-operand modular sum (:meth:`FixedPointCodec.sum_arrays`, which
+  also backs ``add``/``subtract``).  Odd (prime) moduli use object-dtype
+  arrays of Python ints, which keeps the arithmetic exact where a fixed
+  limb count cannot.
 
-Both backends are *bit-identical*: every array op reproduces the exact
-integers (and, for ``random_vector``, the exact RNG stream consumption)
-of the legacy path, so protocol transcripts and training trajectories
-do not depend on which backend ran — the property tests in
-``tests/test_crypto_fixed_point_vectorized.py`` pin this.  The blocked
-mask draw depends on the word-consumption pattern of numpy's PCG64
-``Generator.integers``; a one-time runtime probe verifies the pattern
-and silently falls back to the per-element draw if a future numpy
-changes it (see ``docs/PERFORMANCE.md``).
+Both backends give identical residues for every operation.  Masks are
+drawn as one ``rng.integers(0, 2**64, size=(n, words), dtype=uint64)``
+block per vector on either backend, so the same seed gives the same
+mask whichever backend runs (see ``docs/PERFORMANCE.md``, *Mask
+sampling*); ``tests/test_crypto_fixed_point_vectorized.py`` pins this.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence, Union, overload
+from typing import Iterator, Sequence, Union, overload
 
 import numpy as np
 from numpy.typing import ArrayLike
-
-from repro.utils.rng import as_rng
 
 __all__ = ["FixedPointCodec", "ResidueVector"]
 
 _WORD_BITS = 64
 _WORD_MOD = 1 << _WORD_BITS
 _FULL_MASK = np.uint64(2**64 - 1)
+_HALF_BITS = 32
+_HALF_MASK = (1 << _HALF_BITS) - 1
 
 #: Residue-vector operand accepted by the polymorphic codec ops.
 ResidueLike = Union["ResidueVector", Sequence[int]]
-
-
-class _BlockedDrawUnsupported(Exception):
-    """The installed numpy does not expose the expected PCG64 layout."""
 
 
 class ResidueVector:
@@ -107,14 +98,7 @@ class ResidueVector:
         """The residues as arbitrary-precision Python ints."""
         if self.limbs.dtype == object:
             return [int(v) for v in self.limbs]
-        acc: list[int] | None = None
-        for i in range(self.limbs.shape[1] - 1, -1, -1):
-            column = self.limbs[:, i]
-            if acc is None:
-                acc = [int(v) for v in column]
-            else:
-                acc = [(a << _WORD_BITS) | int(v) for a, v in zip(acc, column)]
-        return acc if acc is not None else [0] * len(self)
+        return _limbs_to_ints(self.limbs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResidueVector):
@@ -127,122 +111,6 @@ class ResidueVector:
             f"modulus_bits={self.modulus.bit_length()}, "
             f"dtype={self.limbs.dtype})"
         )
-
-
-# -- blocked RNG draws ----------------------------------------------------
-#
-# The legacy mask draw composes each 64-bit word from two Generator
-# calls: ``integers(0, 2**63)`` (one raw PCG64 word, Lemire-reduced to
-# ``raw >> 1``) and ``integers(0, 2)`` (one *half* of a raw word via the
-# bit generator's buffered 32-bit path, bit = half >> 31).  The blocked
-# draw reproduces that stream exactly: it plans which raw words the
-# scalar sequence would consume, pulls them in one
-# ``integers(0, 2**64, size=...)`` call (which bypasses the 32-bit
-# buffer), recombines, and patches the buffer state to what the scalar
-# sequence would have left behind.
-
-_BLOCKED_OK: bool | None = None
-
-
-def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` 64-bit words exactly as the legacy pair draws would.
-
-    Returns a ``uint64`` array where element ``i`` equals
-    ``(int(rng.integers(0, 2**63)) << 1) | int(rng.integers(0, 2))`` of
-    the ``i``-th legacy pair, and leaves ``rng`` in the exact state the
-    legacy sequence would have left it in (including the bit
-    generator's buffered 32-bit half-word).
-
-    Raises :class:`_BlockedDrawUnsupported` when the bit generator does
-    not expose the PCG64 buffer layout this reconstruction relies on.
-    """
-    if count <= 0:
-        return np.empty(0, dtype=np.uint64)
-    bit_generator = rng.bit_generator
-    state: Any = bit_generator.state
-    if not isinstance(state, dict) or "has_uint32" not in state or "uinteger" not in state:
-        raise _BlockedDrawUnsupported("bit generator exposes no 32-bit buffer")
-    buffered = int(state["has_uint32"])  # 1 if a high half-word is pending
-    entry_half = int(state["uinteger"])
-
-    index = np.arange(count, dtype=np.int64)
-    # Number of fresh bit-words consumed by draws before draw ``i``: the
-    # bit draws alternate fresh-word / buffered-half starting from the
-    # entry buffer state.
-    fresh_before = (index + (1 - buffered)) // 2
-    value_pos = index + fresh_before
-    fresh = ((index + buffered) % 2) == 0
-    n_fresh = int(np.count_nonzero(fresh))
-    total_words = count + n_fresh
-
-    words = rng.integers(0, _WORD_MOD, size=total_words, dtype=np.uint64)
-    raw_values = words[value_pos]
-
-    halves = np.empty(count, dtype=np.uint64)
-    bit_pos = value_pos + 1  # only meaningful where ``fresh``
-    halves[fresh] = words[bit_pos[fresh]] & np.uint64(0xFFFFFFFF)
-    from_buffer = ~fresh
-    if buffered and count > 0:
-        from_buffer = from_buffer.copy()
-        from_buffer[0] = False
-        halves[0] = np.uint64(entry_half)
-    if np.any(from_buffer):
-        previous = index[from_buffer] - 1
-        halves[from_buffer] = words[bit_pos[previous]] >> np.uint64(32)
-    bits = (halves >> np.uint64(31)) & np.uint64(1)
-
-    # ``integers(0, 2**63)`` keeps the top 63 bits of the raw word, so
-    # the legacy composition (value << 1) | bit is (raw & ~1) | bit.
-    out = (raw_values & ~np.uint64(1)) | bits
-
-    leftover = buffered + 2 * n_fresh - count
-    exit_state = bit_generator.state
-    if leftover == 1 and n_fresh:
-        exit_state["has_uint32"] = 1
-        exit_state["uinteger"] = int(words[int(bit_pos[fresh][-1])] >> np.uint64(32))
-    elif leftover == 1:
-        exit_state["has_uint32"] = 1
-        exit_state["uinteger"] = entry_half
-    else:
-        exit_state["has_uint32"] = 0
-        exit_state["uinteger"] = 0
-    bit_generator.state = exit_state
-    return out
-
-
-def _probe_blocked_draws() -> bool:
-    """One-time check that :func:`_draw_words` reproduces the stream."""
-    try:
-        for warmup_bits in (0, 1):
-            reference = as_rng(0x5EED_B10C)
-            blocked = as_rng(0x5EED_B10C)
-            for _ in range(warmup_bits):  # enter with a buffered half-word
-                if int(reference.integers(0, 2)) != int(blocked.integers(0, 2)):
-                    return False
-            expected = [
-                (int(reference.integers(0, 2**63)) << 1) | int(reference.integers(0, 2))
-                for _ in range(7)
-            ]
-            got = _draw_words(blocked, 7)
-            if [int(v) for v in got] != expected:
-                return False
-            # The streams must stay aligned *after* the block, which
-            # checks the exit buffer patch.
-            for _ in range(3):
-                if int(reference.integers(0, 2**63)) != int(blocked.integers(0, 2**63)):
-                    return False
-                if int(reference.integers(0, 2)) != int(blocked.integers(0, 2)):
-                    return False
-    except Exception:
-        return False
-    return True
-
-
-def _blocked_draws_supported() -> bool:
-    global _BLOCKED_OK
-    if _BLOCKED_OK is None:
-        _BLOCKED_OK = _probe_blocked_draws()
-    return _BLOCKED_OK
 
 
 class FixedPointCodec:
@@ -261,13 +129,16 @@ class FixedPointCodec:
         summation).  Determines the overflow-safe magnitude bound.
     modulus:
         Explicit (possibly odd) modulus overriding ``modulus_bits`` —
-        e.g. the prime field a Shamir-based aggregator operates in.
+        e.g. the prime field a Shamir-based aggregator operates in.  The
+        ``modulus_bits`` attribute is then ``log2(q)`` for a power of
+        two and the bit length of ``q`` otherwise.
     vectorized:
         Select the residue-array backend for the ``*_array`` methods
         (the default).  ``vectorized=False`` keeps the array API but
         routes every operation through the legacy per-element Python
         path — the baseline ``benchmarks/bench_hotpaths.py`` measures
-        against.  Both backends produce bit-identical residues.
+        against.  Both backends draw the same mask words and produce
+        identical residues.
     """
 
     def __init__(
@@ -285,34 +156,33 @@ class FixedPointCodec:
             raise ValueError(f"max_terms must be >= 1, got {max_terms}")
         self.fractional_bits = int(fractional_bits)
         self.max_terms = int(max_terms)
-        if modulus is not None:
-            if modulus < 4:
-                raise ValueError(f"modulus must be >= 4, got {modulus}")
-            self.modulus = int(modulus)
-            self.modulus_bits = self.modulus.bit_length()
-        else:
-            self.modulus = 1 << modulus_bits
-            self.modulus_bits = int(modulus_bits)
+        if modulus is not None and modulus < 4:
+            raise ValueError(f"modulus must be >= 4, got {modulus}")
+        self.modulus = int(modulus) if modulus is not None else 1 << modulus_bits
+        self._power_of_two = self.modulus & (self.modulus - 1) == 0
+        self.modulus_bits = self.modulus.bit_length() - int(self._power_of_two)
         if self.modulus_bits <= fractional_bits + 2:
             raise ValueError("modulus must comfortably exceed the fixed-point scale")
         self.scale: int = 1 << fractional_bits
         # Any single value must satisfy |x| * scale * max_terms < q / 2.
         self.max_magnitude: float = self.modulus / (2.0 * self.scale * self.max_terms)
         self.vectorized = bool(vectorized)
-        # Limb geometry of the power-of-two fast path.
-        self._power_of_two = self.modulus & (self.modulus - 1) == 0
+        self._n_limbs = (self.modulus_bits + _WORD_BITS - 1) // _WORD_BITS
         if self._power_of_two:
-            bits = self.modulus.bit_length() - 1
-            self._n_limbs = max(1, (bits + _WORD_BITS - 1) // _WORD_BITS)
-            top_bits = bits - _WORD_BITS * (self._n_limbs - 1)
+            # Limb geometry of the power-of-two fast path; a mask is
+            # ``_n_limbs`` uniform words with the top limb cut to size.
+            top_bits = self.modulus_bits - _WORD_BITS * (self._n_limbs - 1)
             self._top_mask = (
                 _FULL_MASK if top_bits == _WORD_BITS else np.uint64((1 << top_bits) - 1)
             )
             self._sign_shift = np.uint64(top_bits - 1)
+            self._mask_words = self._n_limbs
         else:
-            self._n_limbs = 0
+            # One extra word keeps the modular-reduction bias below
+            # 2^-64 for odd moduli.
             self._top_mask = _FULL_MASK
             self._sign_shift = np.uint64(0)
+            self._mask_words = self._n_limbs + 1
 
     # -- scalars (Python ints: vectors of arbitrary-precision residues) --
 
@@ -356,7 +226,7 @@ class FixedPointCodec:
         either way.
         """
         if isinstance(a, ResidueVector) or isinstance(b, ResidueVector):
-            return self._binary_array_op(a, b, subtract=False)
+            return self.sum_arrays([a, b])
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
         return [(int(x) + int(y)) % self.modulus for x, y in zip(a, b)]
@@ -373,7 +243,7 @@ class FixedPointCodec:
     def subtract(self, a: ResidueLike, b: ResidueLike) -> ResidueLike:
         """Elementwise modular subtraction of two residue vectors."""
         if isinstance(a, ResidueVector) or isinstance(b, ResidueVector):
-            return self._binary_array_op(a, b, subtract=True)
+            return self.sum_arrays([a], [b])
         if len(a) != len(b):
             raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
         return [(int(x) - int(y)) % self.modulus for x, y in zip(a, b)]
@@ -421,47 +291,64 @@ class FixedPointCodec:
         return ResidueVector(limbs, self.modulus)
 
     def random_vector_array(self, n: int, rng: np.random.Generator) -> ResidueVector:
-        """Batched :meth:`random_vector` consuming the identical RNG stream.
+        """A uniformly random packed residue vector (a one-time pad mask).
 
-        With the vectorized backend all ``n * n_words`` word draws come
-        from one ``rng.integers`` block (falling back to the per-element
-        loop when the runtime probe rejects the numpy internals); the
-        legacy backend always loops.  Either way the residues and the
-        generator's exit state match the original scalar draw exactly.
+        All ``n × words`` 64-bit words come from one
+        ``rng.integers(0, 2**64, size=(n, words), dtype=uint64)`` draw,
+        which advances the generator by exactly that many raw words.
+        For ``q = 2^k``, ``words`` is the limb count and the top limb is
+        cut to ``k`` bits, which is exactly uniform.  For odd ``q`` one
+        extra word is drawn and the little-endian composition reduced
+        mod ``q`` (bias below ``2^-64``).  Both backends use the same
+        words, so they give identical residues from the same generator.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        # One extra word keeps the modular-reduction bias below 2^-64
-        # for odd moduli.
-        n_words = (self.modulus_bits + _WORD_BITS - 1) // _WORD_BITS + 1
-        if n == 0:
-            return self.zeros_array(0)
-        words: np.ndarray | None = None
-        if self.vectorized and _blocked_draws_supported():
-            try:
-                words = _draw_words(rng, n * n_words)
-            except _BlockedDrawUnsupported:
-                words = None
-        if words is None:
-            return self._from_ints(self._random_ints(n, n_words, rng))
+        words = rng.integers(0, _WORD_MOD, size=(n, self._mask_words), dtype=np.uint64)
         if self._use_limbs():
-            # The composed integer's low ``64 * L`` bits live in the
-            # *last* drawn words (the scalar loop shifts earlier words
-            # up), so limb i is column ``n_words - 1 - i``.
-            grid = words.reshape(n, n_words)
-            limbs = np.empty((n, self._n_limbs), dtype=np.uint64)
-            for i in range(self._n_limbs):
-                limbs[:, i] = grid[:, n_words - 1 - i]
-            limbs[:, -1] &= self._top_mask
-            return ResidueVector(limbs, self.modulus)
-        grid = words.reshape(n, n_words)
-        ints: list[int] = []
-        for row in grid:
-            value = 0
-            for word in row:
-                value = (value << _WORD_BITS) | int(word)
-            ints.append(value % self.modulus)
+            words[:, -1] &= self._top_mask
+            return ResidueVector(words, self.modulus)
+        ints = [v % self.modulus for v in _limbs_to_ints(words)]
         return ResidueVector(np.array(ints, dtype=object), self.modulus)
+
+    def sum_arrays(
+        self, plus: Sequence[ResidueLike], minus: Sequence[ResidueLike] = ()
+    ) -> ResidueVector:
+        """``sum(plus) - sum(minus) mod q`` as one batched operation.
+
+        On the limb backend each 64-bit limb is split into two 32-bit
+        halves, every half-limb column is summed over all operands in
+        ``int64`` (no overflow below 2^31 operands), and one signed carry
+        pass folds the column sums back into limbs.  Object-dtype
+        vectors sum their Python ints exactly.
+        """
+        vplus = [self._coerce(v) for v in plus]
+        vminus = [self._coerce(v) for v in minus]
+        operands = vplus + vminus
+        if not operands:
+            raise ValueError("sum_arrays needs at least one operand")
+        n = len(operands[0])
+        if any(len(v) != n for v in operands):
+            lengths = sorted({len(v) for v in operands})
+            raise ValueError(f"length mismatch: {lengths}")
+        if not self._use_limbs():
+            total = sum(v.limbs for v in vplus) - sum(v.limbs for v in vminus)
+            return ResidueVector(total % self.modulus, self.modulus)
+        # The explicit little-endian view orders each limb's halves low,
+        # high; an empty slice sums to zeros.
+        stacked = np.stack([v.limbs for v in operands]).astype("<u8", copy=False)
+        split = stacked.view("<u4")
+        k = len(vplus)
+        net = split[:k].sum(axis=0, dtype=np.int64) - split[k:].sum(axis=0, dtype=np.int64)
+        halves = np.empty(net.shape, dtype="<u4")
+        carry: np.ndarray | int = 0
+        for j in range(net.shape[1]):
+            column = net[:, j] + carry
+            halves[:, j] = column & _HALF_MASK
+            carry = column >> _HALF_BITS  # arithmetic: borrows are negative
+        limbs = halves.view("<u8").astype(np.uint64, copy=False)
+        limbs[:, -1] &= self._top_mask
+        return ResidueVector(limbs, self.modulus)
 
     # -- internals -------------------------------------------------------
 
@@ -482,18 +369,6 @@ class FixedPointCodec:
             )
         return arr
 
-    def _random_ints(
-        self, n: int, n_words: int, rng: np.random.Generator
-    ) -> list[int]:
-        """The original per-element, per-word scalar draw."""
-        out: list[int] = []
-        for _ in range(n):
-            value = 0
-            for _ in range(n_words):
-                value = (value << 64) | int(rng.integers(0, 2**63)) << 1 | int(rng.integers(0, 2))
-            out.append(value % self.modulus)
-        return out
-
     def _from_ints(self, residues: Sequence[int]) -> ResidueVector:
         """Pack already-reduced Python-int residues for this backend."""
         if not self._use_limbs():
@@ -510,67 +385,17 @@ class FixedPointCodec:
         return ResidueVector(limbs, self.modulus)
 
     def _coerce(self, value: ResidueLike) -> ResidueVector:
-        if isinstance(value, ResidueVector):
-            if value.modulus != self.modulus:
-                raise ValueError(
-                    f"residue vector modulus {value.modulus} does not match "
-                    f"codec modulus {self.modulus}"
-                )
-            return value
-        return self._from_ints([int(v) % self.modulus for v in value])
-
-    def _binary_array_op(
-        self, a: ResidueLike, b: ResidueLike, *, subtract: bool
-    ) -> ResidueVector:
-        va = self._coerce(a)
-        vb = self._coerce(b)
-        if len(va) != len(vb):
-            raise ValueError(f"length mismatch: {len(va)} vs {len(vb)}")
-        if va.limbs.dtype != vb.limbs.dtype:  # mixed backends: normalize
-            vb = self._from_ints(vb.to_ints())
-        if va.limbs.dtype == object:
-            if subtract:
-                result = (va.limbs - vb.limbs) % self.modulus
-            else:
-                result = (va.limbs + vb.limbs) % self.modulus
-            return ResidueVector(result, self.modulus)
-        if subtract:
-            return ResidueVector(
-                self._subtract_limbs(va.limbs, vb.limbs), self.modulus
+        """``value`` as a :class:`ResidueVector` on this codec's backend."""
+        if not isinstance(value, ResidueVector):
+            return self._from_ints([int(v) % self.modulus for v in value])
+        if value.modulus != self.modulus:
+            raise ValueError(
+                f"residue vector modulus {value.modulus} does not match "
+                f"codec modulus {self.modulus}"
             )
-        return ResidueVector(self._add_limbs(va.limbs, vb.limbs), self.modulus)
-
-    def _add_limbs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Carry-propagating limb addition modulo ``2^modulus_bits``.
-
-        Per limb the carry out of ``a + b + carry_in`` is at most 1, so
-        two wraparound checks per limb cover it.
-        """
-        out = np.empty_like(a)
-        carry = np.zeros(a.shape[0], dtype=np.uint64)
-        for i in range(a.shape[1]):
-            partial = a[:, i] + b[:, i]
-            overflow_ab = partial < a[:, i]
-            total = partial + carry
-            overflow_carry = total < partial
-            out[:, i] = total
-            carry = (overflow_ab | overflow_carry).astype(np.uint64)
-        out[:, -1] &= self._top_mask
-        return out
-
-    def _subtract_limbs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Borrow-propagating limb subtraction modulo ``2^modulus_bits``."""
-        out = np.empty_like(a)
-        borrow = np.zeros(a.shape[0], dtype=np.uint64)
-        for i in range(a.shape[1]):
-            partial = a[:, i] - b[:, i]
-            underflow_ab = a[:, i] < b[:, i]
-            total = partial - borrow
-            underflow_borrow = partial < borrow
-            out[:, i] = total
-            borrow = (underflow_ab | underflow_borrow).astype(np.uint64)
-        out[:, -1] &= self._top_mask
-        return out
+        if (value.limbs.dtype == object) == self._use_limbs():  # mixed backends
+            return self._from_ints(value.to_ints())
+        return value
 
     def _negate_limbs(self, limbs: np.ndarray) -> np.ndarray:
         """Two's-complement negation modulo ``2^modulus_bits``."""
@@ -619,6 +444,14 @@ class FixedPointCodec:
             f"modulus_bits={self.modulus_bits}, max_terms={self.max_terms}, "
             f"vectorized={self.vectorized})"
         )
+
+
+def _limbs_to_ints(limbs: np.ndarray) -> list[int]:
+    """Compose little-endian ``uint64`` limb rows ``(n, L)`` into ints."""
+    acc = [0] * limbs.shape[0]
+    for i in range(limbs.shape[1] - 1, -1, -1):
+        acc = [(a << _WORD_BITS) | int(v) for a, v in zip(acc, limbs[:, i])]
+    return acc
 
 
 def _float_to_uint64(values: np.ndarray) -> np.ndarray:

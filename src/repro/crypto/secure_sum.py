@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.cluster.network import Network
 from repro.cluster.twister import Aggregator
-from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.obs.audit import ProtocolAuditLog
 from repro.utils.rng import as_rng, spawn_rngs
 
@@ -178,12 +178,14 @@ class SecureSummationProtocol:
             if self.audit is not None:
                 self.audit.begin_round("secure-sum", self.participants)
             encoded = {p: self.codec.encode_array(values[p]) for p in self.participants}
-            net_mask = {p: self.codec.zeros_array(n) for p in self.participants}
+            # Each participant's pads: ``added`` enter its share with +,
+            # ``removed`` with -.
+            added: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
+            removed: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
 
             if self.mode == "fresh":
-                # Steps 1-3: generate, exchange, and net out the pairwise
-                # masks (each mask is one packed residue array; netting
-                # is a vectorized carry-propagating limb op).
+                # Steps 1-3: generate and exchange the pairwise masks;
+                # each joins its generator's Sed and its receiver's Rev.
                 with tracer.span("crypto.mask_exchange", kind="crypto"):
                     for sender in self.participants:
                         for receiver in self.participants:
@@ -192,7 +194,7 @@ class SecureSummationProtocol:
                             mask = self.codec.random_vector_array(n, self._rngs[sender])
                             metrics.increment("crypto.masks_generated", 1)
                             self.network.send(sender, receiver, mask, kind="mask")
-                            net_mask[sender] = self.codec.add(net_mask[sender], mask)  # Sed
+                            added[sender].append(mask)  # Sed
                             if self.audit is not None:
                                 self.audit.mask_applied(sender, receiver)
                     for receiver in self.participants:
@@ -202,9 +204,7 @@ class SecureSummationProtocol:
                             )
                             if self._audit_fault == (mask_message.src, receiver):
                                 continue  # injected fault: mask never netted
-                            net_mask[receiver] = self.codec.subtract(
-                                net_mask[receiver], mask_message.payload
-                            )  # Rev
+                            removed[receiver].append(mask_message.payload)  # Rev
                             if self.audit is not None:
                                 self.audit.mask_removed(receiver, mask_message.src)
             else:
@@ -215,15 +215,16 @@ class SecureSummationProtocol:
                     for (a, b), pair_rng in self._pair_rngs.items():
                         pad = self.codec.random_vector_array(n, pair_rng)
                         metrics.increment("crypto.masks_generated", 1)
-                        net_mask[a] = self.codec.add(net_mask[a], pad)
-                        net_mask[b] = self.codec.subtract(net_mask[b], pad)
+                        added[a].append(pad)
+                        removed[b].append(pad)
                         if self.audit is not None:
                             self.audit.pad_derived(a, b)
 
-            # Step 4: masked shares to the Reducer.
+            # Step 4: masked shares w_i + Sed_i - Rev_i, each one batched
+            # modular sum, to the Reducer.
             with tracer.span("crypto.masked_shares", kind="crypto"):
                 for p in self.participants:
-                    share = self.codec.add(encoded[p], net_mask[p])
+                    share = self.codec.sum_arrays([encoded[p], *added[p]], removed[p])
                     self.network.send(p, self.reducer_id, share, kind="masked-share")
                     metrics.increment("crypto.masked_shares_sent", 1)
                     if self.audit is not None:
@@ -231,14 +232,15 @@ class SecureSummationProtocol:
 
             # Step 5: the Reducer sums; the pads cancel telescopically.
             with tracer.span("crypto.reduce_sum", kind="crypto", node=self.reducer_id):
-                total = self.codec.zeros_array(n)
+                shares: list[ResidueVector] = []
                 for _ in self.participants:
                     message = self.network.receive_message(
                         self.reducer_id, kind="masked-share"
                     )
-                    total = self.codec.add(total, message.payload)
+                    shares.append(message.payload)
                     if self.audit is not None:
                         self.audit.share_received(message.src)
+                total = self.codec.sum_arrays(shares)
             metrics.increment("crypto.secure_sum_rounds", 1)
             if self.audit is not None:
                 self.audit.end_round()

@@ -175,13 +175,11 @@ class ThresholdSummationProtocol:
 
             # Step 2/3: alive participants aggregate their shares and
             # forward.  Shamir sharing is linear, so the elementwise sum
-            # of held share vectors — one vectorized modular add per
-            # incoming vector — is a share vector of the summed secret.
+            # of held share vectors — one batched modular sum — is a
+            # share vector of the summed secret.
             with tracer.span("crypto.share_aggregation", kind="crypto"):
                 for p in alive:
-                    aggregated = self.codec.zeros_array(dim)
-                    for share_vec in incoming[p]:
-                        aggregated = self.codec.add(aggregated, share_vec)
+                    aggregated = self.codec.sum_arrays(incoming[p])
                     x_coord = self.participants.index(p) + 1
                     self.network.send(
                         p, self.reducer_id, (x_coord, aggregated), kind="threshold-agg-share"
@@ -209,10 +207,12 @@ class ThresholdSummationProtocol:
                 weights = shamir_lagrange_weights(
                     [x for x, _ in chosen], prime=self.prime
                 )
-                totals = self.codec.zeros_array(dim)
-                for weight, (_, share_vec) in zip(weights, chosen):
-                    scaled = [(weight * int(s)) % self.prime for s in share_vec]
-                    totals = self.codec.add(totals, scaled)
+                totals = self.codec.sum_arrays(
+                    [
+                        [(weight * int(s)) % self.prime for s in share_vec]
+                        for weight, (_, share_vec) in zip(weights, chosen)
+                    ]
+                )
             metrics.increment("crypto.threshold_sum_rounds", 1)
             if self.audit is not None:
                 self.audit.reconstruction(len(chosen), ok=True)

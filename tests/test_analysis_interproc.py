@@ -219,6 +219,38 @@ def test_protocol_bad_fixture_flags_every_invariant():
     assert "- 0 time(s)" in unbalanced.message
 
 
+def test_batched_dropped_rev_fixture_flags_unbalanced_mask():
+    report = lint_fixture(
+        "crypto/protocol_dropped_rev.py", checkers=[ProtocolInvariantChecker()]
+    )
+    assert [(f.rule, f.line) for f in report.findings] == [
+        ("protocol.unbalanced-mask", 28),
+    ]
+    assert "'mask' is applied with + 1 time(s)" in report.findings[0].message
+    assert "- 0 time(s)" in report.findings[0].message
+
+
+def test_real_protocol_with_dropped_rev_is_flagged(tmp_path):
+    # The batched netting must keep the balance rule able to fire on
+    # the real protocol: dropping the received masks is an error.
+    source = (ROOT / "src" / "repro" / "crypto" / "secure_sum.py").read_text()
+    mutated = source.replace(
+        "sum_arrays([encoded[p], *added[p]], removed[p])",
+        "sum_arrays([encoded[p], *added[p]], [])",
+    )
+    assert mutated != source
+    (tmp_path / "crypto").mkdir()
+    (tmp_path / "crypto" / "secure_sum.py").write_text(mutated)
+    report = run_lint(
+        tmp_path,
+        [tmp_path / "crypto" / "secure_sum.py"],
+        checkers=[ProtocolInvariantChecker()],
+        use_default_allowlist=False,
+    )
+    assert {f.rule for f in report.findings} == {"protocol.unbalanced-mask"}
+    assert any("'mask'" in f.message for f in report.findings)
+
+
 def test_protocol_ok_fixture_is_clean():
     report = lint_fixture(
         "crypto/protocol_ok.py", checkers=[ProtocolInvariantChecker()]

@@ -1,11 +1,12 @@
 """Equivalence tests: vectorized residue backend vs the legacy list path.
 
-The vectorized backend (packed ``uint64`` limb arrays, blocked RNG
-draws) must be *bit-identical* to the original per-element Python-int
-implementation — same residues, same decoded floats, same RNG stream
-consumption — for both the default power-of-two modulus and an odd
-prime field.  These tests pin that contract; a regression here means
-protocol transcripts or training trajectories silently changed.
+The vectorized backend (packed ``uint64`` limb arrays, one-block mask
+draws, batched modular sums) must give *identical* residues to the
+per-element Python-int implementation — same residues, same decoded
+floats, same masks from the same generator — for both the default
+power-of-two modulus and an odd prime field.  These tests pin that
+contract; a regression here means protocol transcripts or training
+trajectories silently depend on the backend.
 """
 
 import pickle
@@ -14,12 +15,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from repro.crypto.fixed_point import (
-    FixedPointCodec,
-    ResidueVector,
-    _blocked_draws_supported,
-    _draw_words,
-)
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 
 CODEC_CONFIGS = [
@@ -31,14 +27,18 @@ CODEC_CONFIGS = [
 ]
 
 
-def legacy_random_vector(codec: FixedPointCodec, n: int, rng) -> list[int]:
-    """The original scalar draw, verbatim from the seed implementation."""
-    n_words = (codec.modulus_bits + 63) // 64 + 1
+def mask_words(codec: FixedPointCodec) -> int:
+    """64-bit words per mask element: ceil(log2 q / 64), +1 for odd q."""
+    words = (codec.modulus_bits + 63) // 64
+    return words if codec.modulus & (codec.modulus - 1) == 0 else words + 1
+
+
+def reference_random_vector(codec: FixedPointCodec, n: int, rng) -> list[int]:
+    """The mask contract element by element: little-endian words, mod q."""
     out = []
     for _ in range(n):
-        value = 0
-        for _ in range(n_words):
-            value = (value << 64) | int(rng.integers(0, 2**63)) << 1 | int(rng.integers(0, 2))
+        words = rng.integers(0, 2**64, size=mask_words(codec), dtype=np.uint64)
+        value = sum(int(w) << (64 * i) for i, w in enumerate(words))
         out.append(value % codec.modulus)
     return out
 
@@ -71,7 +71,7 @@ class TestEncodeDecodeEquivalence:
         # Masked shares are uniform over [0, q): the packed decode must
         # take its exact big-int path, not the single-limb float path.
         codec, _ = codec_pair
-        residues = legacy_random_vector(codec, 64, default_rng(5))
+        residues = reference_random_vector(codec, 64, default_rng(5))
         packed = codec._from_ints(residues)
         assert np.array_equal(codec.decode(packed), codec.decode(residues))
 
@@ -84,8 +84,8 @@ class TestEncodeDecodeEquivalence:
 class TestArithmeticEquivalence:
     def test_add_subtract_match_legacy(self, codec_pair):
         codec, legacy = codec_pair
-        a = legacy_random_vector(codec, 257, default_rng(1))
-        b = legacy_random_vector(codec, 257, default_rng(2))
+        a = reference_random_vector(codec, 257, default_rng(1))
+        b = reference_random_vector(codec, 257, default_rng(2))
         add_expected = codec.add(a, b)
         sub_expected = codec.subtract(a, b)
         for c in (codec, legacy):
@@ -105,7 +105,7 @@ class TestArithmeticEquivalence:
 
     def test_mixed_operand_types(self, codec_pair):
         codec, _ = codec_pair
-        ints = legacy_random_vector(codec, 9, default_rng(4))
+        ints = reference_random_vector(codec, 9, default_rng(4))
         packed = codec._from_ints(ints)
         assert codec.add(packed, ints).to_ints() == codec.add(ints, ints)
         assert codec.subtract(ints, packed).to_ints() == [0] * 9
@@ -120,10 +120,8 @@ class TestRandomVectorStream:
     def test_blocked_draw_matches_scalar_stream(self, codec_pair):
         codec, legacy = codec_pair
         reference, vec_rng, leg_rng = default_rng(7), default_rng(7), default_rng(7)
-        # Consecutive calls exercise the bit generator's buffered
-        # half-word carrying over between blocks.
         for _ in range(3):
-            expected = legacy_random_vector(codec, 33, reference)
+            expected = reference_random_vector(codec, 33, reference)
             assert codec.random_vector_array(33, vec_rng).to_ints() == expected
             assert legacy.random_vector_array(33, leg_rng).to_ints() == expected
         # The generators must leave the stream in the identical state.
@@ -132,24 +130,39 @@ class TestRandomVectorStream:
         assert int(leg_rng.integers(0, 2**63)) == tail
 
     def test_blocked_draw_after_interleaved_scalar_draws(self, codec_pair):
-        # Entering a block with a buffered half-word pending (odd number
-        # of prior bit draws) must still reproduce the scalar stream.
+        # A pending buffered 32-bit half-word (left by a small-range
+        # draw) must not shift the mask words.
         codec, _ = codec_pair
         reference, blocked = default_rng(11), default_rng(11)
         assert int(reference.integers(0, 2)) == int(blocked.integers(0, 2))
-        expected = legacy_random_vector(codec, 10, reference)
+        expected = reference_random_vector(codec, 10, reference)
         assert codec.random_vector_array(10, blocked).to_ints() == expected
+        assert int(reference.integers(0, 2)) == int(blocked.integers(0, 2))
 
     def test_legacy_list_api_unchanged(self, codec_pair):
         codec, _ = codec_pair
-        assert codec.random_vector(17, default_rng(13)) == legacy_random_vector(
+        assert codec.random_vector(17, default_rng(13)) == reference_random_vector(
             codec, 17, default_rng(13)
         )
 
+    def test_backends_draw_identical_residues(self, codec_pair):
+        codec, legacy = codec_pair
+        packed = codec.random_vector_array(65, default_rng(19))
+        assert packed.to_ints() == legacy.random_vector_array(65, default_rng(19)).to_ints()
+        assert packed.limbs.dtype == (object if codec.modulus % 2 else np.uint64)
+
+    def test_draw_advances_generator_by_n_times_words(self, codec_pair):
+        n = 21
+        for c in codec_pair:
+            drawn, reference = default_rng(37), default_rng(37)
+            c.random_vector_array(n, drawn)
+            reference.integers(0, 2**64, size=n * mask_words(c), dtype=np.uint64)
+            assert drawn.bit_generator.state == reference.bit_generator.state
+
     def test_values_in_range(self, codec_pair):
-        codec, _ = codec_pair
-        vec = codec.random_vector_array(100, default_rng(17))
-        assert all(0 <= v < codec.modulus for v in vec)
+        for c in codec_pair:
+            vec = c.random_vector_array(100, default_rng(17))
+            assert all(0 <= v < c.modulus for v in vec)
 
     def test_empty_and_negative(self, codec_pair):
         codec, _ = codec_pair
@@ -157,26 +170,65 @@ class TestRandomVectorStream:
         with pytest.raises(ValueError, match="non-negative"):
             codec.random_vector_array(-1, default_rng(0))
 
-    def test_draw_words_probe_passes_on_this_numpy(self):
-        # The blocked draw is verified against this numpy at import; if
-        # the probe ever fails the codec silently falls back, but we
-        # want to *know* (the perf win disappears).
-        assert _blocked_draws_supported()
+    def test_bits_above_modulus_are_zero_for_q_2_96(self):
+        codec = FixedPointCodec(modulus_bits=96, fractional_bits=30)
+        vec = codec.random_vector_array(500, default_rng(41))
+        assert vec.limbs.shape == (500, 2)
+        assert not np.any(vec.limbs[:, 1] >> np.uint64(32))
+        # ...while the 32 bits below the cut are all in use.
+        assert np.bitwise_or.reduce(vec.limbs[:, 1]) == np.uint64(2**32 - 1)
 
-    def test_draw_words_composes_scalar_pairs(self):
-        reference, blocked = default_rng(23), default_rng(23)
-        expected = [
-            (int(reference.integers(0, 2**63)) << 1) | int(reference.integers(0, 2))
-            for _ in range(9)
-        ]
-        assert [int(w) for w in _draw_words(blocked, 9)] == expected
-        assert int(reference.integers(0, 2**63)) == int(blocked.integers(0, 2**63))
+
+def reference_sum(plus: list[list[int]], minus: list[list[int]], modulus: int) -> list[int]:
+    """``sum(plus) - sum(minus) mod q`` elementwise, in Python ints."""
+    n = len((plus + minus)[0])
+    return [(sum(v[i] for v in plus) - sum(v[i] for v in minus)) % modulus for i in range(n)]
+
+
+class TestSumArrays:
+    @pytest.mark.parametrize("bits", [64, 96, 128])
+    @pytest.mark.parametrize("k", [1, 2, 7, 15])
+    @pytest.mark.parametrize("with_minus", [False, True], ids=["plus-only", "plus-minus"])
+    def test_matches_python_int_reference(self, bits, k, with_minus):
+        codec = FixedPointCodec(modulus_bits=bits, fractional_bits=20)
+        legacy = FixedPointCodec(modulus_bits=bits, fractional_bits=20, vectorized=False)
+        rng = default_rng(1000 + 10 * k + bits)
+        plus = [codec.random_vector_array(31, rng) for _ in range(k)]
+        minus = [codec.random_vector_array(31, rng) for _ in range(k)] if with_minus else []
+        # Extremes exercise the carry and borrow chains end to end.
+        plus.append(codec._from_ints([codec.modulus - 1] * 31))
+        if with_minus:
+            minus.append(codec._from_ints([codec.modulus - 1] * 30 + [1]))
+        expected = reference_sum(
+            [v.to_ints() for v in plus], [v.to_ints() for v in minus], codec.modulus
+        )
+        assert codec.sum_arrays(plus, minus).to_ints() == expected
+        assert legacy.sum_arrays(plus, minus).to_ints() == expected
+
+    def test_prime_modulus_and_list_operands(self):
+        codec = FixedPointCodec(modulus=MERSENNE_PRIME_127)
+        rng = default_rng(3)
+        a, b, c = (reference_random_vector(codec, 12, rng) for _ in range(3))
+        expected = reference_sum([a, b], [c], codec.modulus)
+        assert codec.sum_arrays([a, codec._from_ints(b)], [c]).to_ints() == expected
+
+    def test_only_minus_operands_negate(self):
+        codec = FixedPointCodec()
+        v = codec.random_vector_array(9, default_rng(5))
+        assert codec.sum_arrays([], [v]).to_ints() == [(-x) % codec.modulus for x in v]
+
+    def test_rejects_no_operands_and_length_mismatch(self):
+        codec = FixedPointCodec()
+        with pytest.raises(ValueError, match="at least one operand"):
+            codec.sum_arrays([])
+        with pytest.raises(ValueError, match="length"):
+            codec.sum_arrays([codec.zeros_array(2)], [codec.zeros_array(3)])
 
 
 class TestResidueVectorContainer:
     def test_iter_getitem_len_eq(self, codec_pair):
         codec, legacy = codec_pair
-        ints = legacy_random_vector(codec, 12, default_rng(29))
+        ints = reference_random_vector(codec, 12, default_rng(29))
         packed = codec._from_ints(ints)
         other = legacy._from_ints(ints)
         assert len(packed) == 12

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.network import Network
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
+from repro.obs.audit import ProtocolAuditLog
 
 
 def make_protocol(n=4, mode="fresh", seed=0):
@@ -43,6 +44,56 @@ class TestCorrectness:
         np.testing.assert_allclose(
             protocol.sum_vectors(values), 4 * values["m0"], atol=1e-6
         )
+
+
+class TestBatchedNetting:
+    """Each participant nets its pads in one batched modular sum."""
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["packed", "legacy"])
+    @pytest.mark.parametrize("n_participants", [2, 3, 8])
+    @pytest.mark.parametrize("mode", ["fresh", "prg"])
+    def test_equals_plaintext_sum(self, mode, n_participants, vectorized, rng):
+        participants = [f"m{i}" for i in range(n_participants)]
+        codec = FixedPointCodec(max_terms=n_participants, vectorized=vectorized)
+        protocol = SecureSummationProtocol(
+            Network(), participants, "red", codec=codec, mode=mode, seed=1
+        )
+        for _ in range(2):
+            values = {p: rng.normal(size=65) * 10.0 for p in participants}
+            result = protocol.sum_vectors(values)
+            # Each term rounds by at most 2^-41; the sum is exact mod q.
+            np.testing.assert_allclose(
+                result, sum(values.values()), rtol=0, atol=n_participants * 2.0**-40
+            )
+
+    def test_one_draw_send_and_audit_per_mask(self, rng):
+        m = 8
+        audit = ProtocolAuditLog()
+        network = Network()
+        participants = [f"m{i}" for i in range(m)]
+        protocol = SecureSummationProtocol(network, participants, "red", seed=2, audit=audit)
+        protocol.sum_vectors({p: rng.normal(size=5) for p in participants})
+        assert network.messages_sent("mask") == m * (m - 1)
+        assert network.metrics.get("crypto.masks_generated") == m * (m - 1)
+        (record,) = audit.rounds
+        assert sum(record.masks_applied.values()) == m * (m - 1)
+        assert sum(record.masks_removed.values()) == m * (m - 1)
+        assert record.ok
+
+    def test_dropped_mask_still_flagged_by_audit(self, rng):
+        audit = ProtocolAuditLog()
+        participants = [f"m{i}" for i in range(8)]
+        protocol = SecureSummationProtocol(
+            Network(), participants, "red", seed=4, audit=audit
+        )
+        values = {p: rng.normal(size=7) for p in participants}
+        protocol._audit_fault = ("m5", "m2")
+        corrupted = protocol.sum_vectors(values)
+        assert not np.allclose(corrupted, sum(values.values()), atol=1e-6)
+        (record,) = audit.rounds
+        assert not record.ok
+        assert {v.rule for v in record.violations} == {"mask-balance"}
+        assert record.masks_removed[("m2", "m5")] == 0  # (receiver, src)
 
 
 class TestProtocolShape:

@@ -119,6 +119,23 @@ class TestUniformityAndLeak:
         # wildly concentrated (a plaintext leak gives values >> 10).
         assert stat < 10.0
 
+    @pytest.mark.parametrize(
+        "codec", [FixedPointCodec(modulus=2**128), FixedPointCodec(modulus_bits=128)],
+        ids=["explicit-modulus", "modulus-bits"],
+    )
+    def test_uniformity_of_20k_shares_near_one(self, codec, rng):
+        # The statistic reads the top byte of log2(q)-bit residues; an
+        # off-by-one shift for an explicit power-of-two modulus halves
+        # the byte range and reads ~80 on perfectly uniform shares.
+        network = Network()
+        participants = [f"m{i}" for i in range(4)]
+        protocol = SecureSummationProtocol(
+            network, participants, "reducer", codec=codec, seed=5
+        )
+        protocol.sum_vectors({p: rng.normal(size=5000) for p in participants})
+        stat = share_uniformity_statistic(reducer_view(network), codec)
+        assert 0.7 < stat < 1.4
+
     def test_plaintext_aggregation_flagged(self, cancer_split):
         train, _ = cancer_split
         parts = horizontal_partition(train, 4, seed=0)

@@ -32,21 +32,11 @@ from repro.core.partitioning import horizontal_partition
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
-from repro.data.scaling import StandardScaler
-from repro.data.splits import train_test_split
-from repro.data.synthetic import make_cancer_like, make_linear_task
+from repro.data.synthetic import make_linear_task
 from repro.svm.qp import solve_box_qp
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_hotpaths.json"
-
-
-def _training_parts():
-    """Standardized horizontal split of the synthetic cancer-like set."""
-    dataset = make_cancer_like(240, seed=11)
-    train, _ = train_test_split(dataset, 0.5, seed=0)
-    train = StandardScaler().fit(train.X).transform_dataset(train)
-    return horizontal_partition(train, 4, seed=0)
 
 
 def _timeit(fn, *, repeats: int) -> float:
@@ -240,29 +230,6 @@ def bench_end_to_end(
             print(f"  bench run recorded: {run_id} ({ledger_dir}/)")
 
 
-def bench_map_wave(results: list[dict], *, smoke: bool) -> None:
-    print("parallel map wave:")
-    parts = _training_parts()
-    max_iter = 5 if smoke else 15
-    for workers in (1, 4):
-        def fit():
-            PrivacyPreservingSVM(
-                "horizontal",
-                C=50.0,
-                rho=100.0,
-                max_iter=max_iter,
-                seed=0,
-                n_map_workers=workers,
-            ).fit(parts)
-
-        _record(
-            results,
-            "twister.map_wave_fit",
-            {"learners": 4, "max_iter": max_iter, "n_map_workers": workers},
-            _timeit(fit, repeats=1 if smoke else 2),
-        )
-
-
 def check_regressions(pairs: list[tuple[dict, dict]]) -> list[str]:
     """A vectorized secure-sum round must never be slower than legacy."""
     failures = []
@@ -307,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     pairs = bench_secure_sum(results, smoke=args.smoke)
     bench_codec_kernels(results, smoke=args.smoke)
     bench_box_qp(results, smoke=args.smoke)
-    bench_map_wave(results, smoke=args.smoke)
     bench_end_to_end(results, smoke=args.smoke, ledger_dir=args.ledger)
 
     args.out.write_text(json.dumps(results, indent=1) + "\n")

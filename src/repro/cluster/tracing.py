@@ -44,7 +44,6 @@ True
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -137,6 +136,10 @@ class TraceRecorder:
         Zero-argument callable returning the current simulated time;
         :class:`~repro.cluster.network.Network` attaches its own clock
         so spans capture simulated-latency durations.
+
+    A recorder is single-threaded, like the simulated cluster that
+    drives it: spans nest on one stack and records are stored without
+    locking.
     """
 
     def __init__(
@@ -156,19 +159,10 @@ class TraceRecorder:
         self._origin = time.perf_counter()
         self._next_id = 0
         self._iteration: int | None = None
-        # Record storage and id allocation are guarded by one lock so a
-        # parallel map wave can emit spans concurrently; span *nesting*
-        # is tracked per thread (a worker inherits its parent span via
-        # :meth:`adopt`, not via the spawning thread's stack).
-        self._lock = threading.Lock()
-        self._local = threading.local()
-
-    def _thread_stack(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        self._stack: list[int] = []
+        # Running count of stored spans + events + counter samples, so
+        # the ``max_records`` check is one comparison per record.
+        self._stored = 0
 
     # -- recording ------------------------------------------------------
 
@@ -188,25 +182,6 @@ class TraceRecorder:
             self._iteration = previous
 
     @contextmanager
-    def adopt(self, parent_id: int | None) -> Iterator[None]:
-        """Nest this thread's spans under an existing span.
-
-        Worker threads have an empty span stack of their own, so spans
-        they open would otherwise float at top level; the parallel map
-        wave passes its ``twister.map_wave`` span id here so per-mapper
-        spans keep the same parentage as in sequential mode.
-        """
-        if parent_id is None:
-            yield
-            return
-        stack = self._thread_stack()
-        stack.append(int(parent_id))
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    @contextmanager
     def span(
         self,
         name: str,
@@ -218,12 +193,9 @@ class TraceRecorder:
     ) -> Iterator[Span]:
         """Open a span; yields the mutable :class:`Span` so callers can
         attach result attributes (e.g. residuals) before it closes."""
-        stack = self._thread_stack()
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
+        stack = self._stack
         record = Span(
-            span_id=span_id,
+            span_id=self._next_id,
             parent_id=stack[-1] if stack else None,
             name=name,
             kind=kind,
@@ -231,8 +203,9 @@ class TraceRecorder:
             iteration=iteration if iteration is not None else self._iteration,
             start_wall_s=time.perf_counter() - self._origin,
             start_sim_s=self.sim_clock() if self.sim_clock is not None else None,
-            attrs=dict(attrs),
+            attrs=attrs,
         )
+        self._next_id += 1
         stack.append(record.span_id)
         try:
             yield record
@@ -244,11 +217,11 @@ class TraceRecorder:
             if record.start_sim_s is not None and self.sim_clock is not None:
                 record.duration_sim_s = self.sim_clock() - record.start_sim_s
             if self.enabled:
-                with self._lock:
-                    if not self._full():
-                        self.spans.append(record)
-                    else:
-                        self.dropped += 1
+                if self._stored < self.max_records:
+                    self._stored += 1
+                    self.spans.append(record)
+                else:
+                    self.dropped += 1
 
     def event(
         self,
@@ -262,20 +235,21 @@ class TraceRecorder:
         """Record an instantaneous event with free-form attributes."""
         if not self.enabled:
             return
-        record = TraceEvent(
-            name=name,
-            kind=kind,
-            node=node,
-            iteration=iteration if iteration is not None else self._iteration,
-            wall_s=time.perf_counter() - self._origin,
-            sim_s=self.sim_clock() if self.sim_clock is not None else None,
-            attrs=dict(attrs),
+        if self._stored >= self.max_records:
+            self.dropped += 1
+            return
+        self._stored += 1
+        self.events.append(
+            TraceEvent(
+                name=name,
+                kind=kind,
+                node=node,
+                iteration=iteration if iteration is not None else self._iteration,
+                wall_s=time.perf_counter() - self._origin,
+                sim_s=self.sim_clock() if self.sim_clock is not None else None,
+                attrs=attrs,
+            )
         )
-        with self._lock:
-            if self._full():
-                self.dropped += 1
-                return
-            self.events.append(record)
 
     def counter(self, name: str, amount: float = 1.0) -> None:
         """Record one counter increment tagged with the current iteration.
@@ -286,25 +260,21 @@ class TraceRecorder:
         """
         if not self.enabled:
             return
-        with self._lock:
-            if self._full():
-                self.dropped += 1
-                return
-            self.counter_samples.append((self._iteration, name, float(amount)))
+        if self._stored >= self.max_records:
+            self.dropped += 1
+            return
+        self._stored += 1
+        self.counter_samples.append((self._iteration, name, float(amount)))
 
     def clear(self) -> None:
         """Drop all recorded spans/events/samples (keeps configuration)."""
-        with self._lock:
-            self.spans.clear()
-            self.events.clear()
-            self.counter_samples.clear()
-            self.dropped = 0
-        self._thread_stack().clear()
+        self.spans.clear()
+        self.events.clear()
+        self.counter_samples.clear()
+        self.dropped = 0
+        self._stored = 0
+        self._stack.clear()
         self._iteration = None
-
-    def _full(self) -> bool:
-        stored = len(self.spans) + len(self.events) + len(self.counter_samples)
-        return stored >= self.max_records
 
     # -- aggregation ----------------------------------------------------
 

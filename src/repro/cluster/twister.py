@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import abc
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -204,14 +203,6 @@ class IterativeMapReduceDriver:
         Map-output transport strategy (secure sum in the paper's scheme).
     reducer_node:
         Node id for the reducer (registered automatically).
-    n_map_workers:
-        Thread count for the map wave.  ``1`` (default) runs mappers
-        sequentially; larger values run one task per mapper on a
-        :class:`~concurrent.futures.ThreadPoolExecutor` — the numpy /
-        LAPACK kernels inside ``map`` release the GIL, so the wave
-        genuinely overlaps.  Outputs are merged in the fixed task-key
-        order regardless of completion order, so trajectories are
-        bit-identical to sequential mode.
     on_round:
         Optional callback invoked with each :class:`IterationResult`
         right after it is appended to :attr:`history` (while the round's
@@ -225,7 +216,6 @@ class IterativeMapReduceDriver:
     reducer: IterativeReducer
     aggregator: Aggregator
     reducer_node: str = "reducer"
-    n_map_workers: int = 1
     on_round: Callable[[IterationResult], None] | None = None
     history: list[IterationResult] = field(default_factory=list)
     _mappers: dict[str, IterativeMapper] = field(default_factory=dict)
@@ -268,8 +258,6 @@ class IterativeMapReduceDriver:
         """
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if self.n_map_workers < 1:
-            raise ValueError(f"n_map_workers must be >= 1, got {self.n_map_workers}")
         if not self._mappers:
             self.setup(input_file)
         network = self.hdfs.network
@@ -305,23 +293,13 @@ class IterativeMapReduceDriver:
                 # combiner semantics — no extra network traffic, no extra
                 # leakage).
                 outputs: dict[str, dict[str, np.ndarray]] = {}
-                n_parallel = min(self.n_map_workers, len(self._mappers))
                 with tracer.span(
-                    "twister.map_wave",
-                    kind="map",
-                    n_mappers=len(self._mappers),
-                    n_parallel=n_parallel,
-                ) as wave_span:
-                    keys = list(self._mappers)
-                    results = self._run_map_tasks(
-                        keys, node_state, iteration, n_parallel, wave_span.span_id
-                    )
-                    # Merge in fixed task-key order, never completion
-                    # order, so the combiner's float additions happen in
-                    # the same sequence as sequential mode (bit-identical
-                    # trajectories).
-                    for key, named in zip(keys, results):
+                    "twister.map_wave", kind="map", n_mappers=len(self._mappers)
+                ):
+                    for key, mapper in self._mappers.items():
                         context = self._contexts[key]
+                        context.iteration = iteration
+                        named = mapper.map(node_state[context.node_id], context)
                         node_out = outputs.setdefault(context.node_id, {})
                         for out_key, value in named.items():
                             value = np.asarray(value, dtype=float)
@@ -355,39 +333,3 @@ class IterativeMapReduceDriver:
             if converged:
                 break
         return self.history
-
-    def _run_map_tasks(
-        self,
-        keys: list[str],
-        node_state: dict[str, Any],
-        iteration: int,
-        n_parallel: int,
-        wave_span_id: int,
-    ) -> list[dict[str, np.ndarray]]:
-        """Run one ``map`` per task key, returning outputs in key order.
-
-        With ``n_parallel > 1`` each mapper runs as a thread-pool task.
-        Mappers only touch their own partition state and the (locked)
-        tracer — no network traffic, no shared RNG — so threads cannot
-        race; worker spans adopt the ``twister.map_wave`` span as parent
-        to keep the trace tree identical to sequential mode.
-        """
-        tracer = self.hdfs.network.tracer
-
-        def run_one(key: str) -> dict[str, np.ndarray]:
-            context = self._contexts[key]
-            context.iteration = iteration
-            return self._mappers[key].map(node_state[context.node_id], context)
-
-        if n_parallel <= 1:
-            return [run_one(key) for key in keys]
-
-        def run_adopted(key: str) -> dict[str, np.ndarray]:
-            with tracer.adopt(wave_span_id):
-                return run_one(key)
-
-        with ThreadPoolExecutor(
-            max_workers=n_parallel, thread_name_prefix="map-wave"
-        ) as pool:
-            futures = [pool.submit(run_adopted, key) for key in keys]
-            return [future.result() for future in futures]

@@ -117,10 +117,6 @@ class PrivacyPreservingSVM:
         horizontal kernel scheme (the paper reports learner 1 = index 0).
     seed:
         Seed for landmarks and mask randomness.
-    n_map_workers:
-        Thread count for the driver's map wave (see
-        :class:`~repro.cluster.twister.IterativeMapReduceDriver`);
-        any value yields bit-identical trajectories to sequential mode.
     on_health:
         Policy when a convergence-health detector fires during
         training: ``"warn"`` (default) issues a ``RuntimeWarning`` per
@@ -153,7 +149,6 @@ class PrivacyPreservingSVM:
         seed: int | np.random.Generator | None = 0,
         qp_tol: float = 1e-8,
         qp_max_sweeps: int = 500,
-        n_map_workers: int = 1,
         on_health: str = "warn",
         health_monitor: HealthMonitor | None = None,
     ) -> None:
@@ -179,9 +174,6 @@ class PrivacyPreservingSVM:
         self.seed = seed
         self.qp_tol = qp_tol
         self.qp_max_sweeps = qp_max_sweeps
-        if n_map_workers < 1:
-            raise ValueError(f"n_map_workers must be >= 1, got {n_map_workers}")
-        self.n_map_workers = int(n_map_workers)
         self.on_health = on_health
         self._health_monitor_override = health_monitor
 
@@ -236,7 +228,6 @@ class PrivacyPreservingSVM:
             reducer=reducer,
             aggregator=aggregator,
             reducer_node="reducer",
-            n_map_workers=self.n_map_workers,
             on_round=self._health_hook(reducer.history, health),
         )
 
@@ -306,7 +297,6 @@ class PrivacyPreservingSVM:
             "secure": self.secure,
             "mask_mode": self.mask_mode,
             "fractional_bits": self.fractional_bits,
-            "n_map_workers": self.n_map_workers,
             "on_health": self.on_health,
         }
 

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, RNG handling, timing, and math helpers.
+"""Shared utilities: validation, RNG handling, and plotting helpers.
 
 These helpers are deliberately small and dependency-free (NumPy only) so
 that every other subpackage can use them without import cycles.
@@ -6,7 +6,6 @@ that every other subpackage can use them without import cycles.
 
 from repro.utils.plotting import ascii_plot
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_labels,
     check_matrix,
@@ -16,7 +15,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Stopwatch",
     "ascii_plot",
     "as_rng",
     "check_labels",

@@ -76,7 +76,6 @@ MODULES = [
     "repro.utils",
     "repro.utils.plotting",
     "repro.utils.rng",
-    "repro.utils.timing",
     "repro.utils.validation",
 ]
 

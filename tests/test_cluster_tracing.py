@@ -116,6 +116,26 @@ class TestTraceRecorder:
         assert recorder.counter_samples == [] and recorder.dropped == 0
         assert recorder.max_records == 10
 
+    def test_clear_resets_the_record_budget(self):
+        recorder = TraceRecorder(max_records=3)
+        with recorder.span("s"):
+            recorder.event("e")
+            recorder.counter("c")
+        recorder.event("over")
+        assert recorder.dropped == 1
+        recorder.clear()
+        assert recorder.dropped == 0
+        recorder.event("after")
+        recorder.counter("c", 2.0)
+        with recorder.span("s2"):
+            pass
+        assert [e.name for e in recorder.events] == ["after"]
+        assert recorder.counter_samples == [(None, "c", 2.0)]
+        assert [s.name for s in recorder.spans] == ["s2"]
+        assert recorder.dropped == 0
+        recorder.event("over")
+        assert recorder.dropped == 1
+
     def test_sim_clock_durations(self):
         clock = {"t": 0.0}
         recorder = TraceRecorder(sim_clock=lambda: clock["t"])
@@ -332,6 +352,16 @@ class TestTracedTrainingRun:
             }
             assert phases <= children
 
+    def test_local_steps_nest_under_map_wave(self, traced_run):
+        tracer = traced_run.network_.tracer
+        waves = {s.span_id: s for s in tracer.spans if s.name == "twister.map_wave"}
+        steps = [s for s in tracer.spans if s.name == "admm.local_step"]
+        assert steps
+        for step in steps:
+            assert step.parent_id in waves
+            assert waves[step.parent_id].iteration == step.iteration
+        assert all(set(w.attrs) == {"n_mappers"} for w in waves.values())
+
     def test_convergence_check_attrs(self, traced_run):
         checks = [
             s for s in traced_run.network_.tracer.spans if s.name == "admm.convergence_check"
@@ -398,69 +428,3 @@ class TestTracedTrainingRun:
         snap = traced_run.profiler_.snapshot()
         assert set(snap) == {"counters", "spans", "events", "iterations", "dropped"}
         assert snap["counters"] == traced_run.network_.metrics.as_dict()
-
-
-@pytest.fixture(scope="module")
-def threaded_run():
-    """A secure fit with the map wave on 4 worker threads."""
-    train, _ = train_test_split(make_blobs(120, seed=0), seed=0)
-    parts = horizontal_partition(train, 4, seed=0)
-    return PrivacyPreservingSVM(max_iter=4, seed=0, n_map_workers=4).fit(parts)
-
-
-class TestThreadedMapWaveReconciliation:
-    """iteration_costs() must stay exact when map tasks run on threads.
-
-    Worker threads record their ``admm.local_step`` spans via
-    ``TraceRecorder.adopt`` (thread-local span stacks, explicit parent),
-    so the same per-iteration attribution — and therefore the same
-    reconciliation invariant — must hold as in the sequential wave.
-    """
-
-    def test_map_wave_actually_parallel(self, threaded_run):
-        waves = [
-            s for s in threaded_run.network_.tracer.spans if s.name == "twister.map_wave"
-        ]
-        assert waves and all(s.attrs["n_parallel"] == 4 for s in waves)
-
-    def test_adopted_spans_keep_iteration_and_parent(self, threaded_run):
-        tracer = threaded_run.network_.tracer
-        waves = {s.span_id: s for s in tracer.spans if s.name == "twister.map_wave"}
-        steps = [s for s in tracer.spans if s.name == "admm.local_step"]
-        nodes = {f"learner-{m}" for m in range(4)}
-        seen = {(s.iteration, s.node) for s in steps}
-        assert seen == {
-            (i, n) for i in range(len(threaded_run.history_)) for n in nodes
-        }
-        for step in steps:
-            assert step.parent_id in waves
-            assert waves[step.parent_id].iteration == step.iteration
-
-    def test_cost_rows_reconcile_with_registry(self, threaded_run):
-        network = threaded_run.network_
-        rows = network.tracer.iteration_costs()
-        assert sum(r["total_bytes"] for r in rows) == network.bytes_sent()
-        assert sum(r["total_messages"] for r in rows) == network.messages_sent()
-        registry_crypto = sum(
-            amount
-            for name, amount in network.metrics.as_dict().items()
-            if name.startswith("crypto.")
-        )
-        assert sum(sum(r["crypto_ops"].values()) for r in rows) == registry_crypto
-
-    def test_per_kind_bytes_reconcile(self, threaded_run):
-        rows = threaded_run.network_.tracer.iteration_costs()
-        metrics = threaded_run.network_.metrics
-        by_kind: dict[str, float] = {}
-        for row in rows:
-            for kind, amount in row["bytes_by_kind"].items():
-                by_kind[kind] = by_kind.get(kind, 0.0) + amount
-        for kind, total in by_kind.items():
-            assert total == metrics.get(f"network.bytes.{kind}")
-
-    def test_matches_sequential_trajectory(self, threaded_run):
-        train, _ = train_test_split(make_blobs(120, seed=0), seed=0)
-        parts = horizontal_partition(train, 4, seed=0)
-        sequential = PrivacyPreservingSVM(max_iter=4, seed=0, n_map_workers=1).fit(parts)
-        for a, b in zip(sequential.history_.records, threaded_run.history_.records):
-            assert a.z_change_sq == pytest.approx(b.z_change_sq)

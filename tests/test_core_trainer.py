@@ -184,3 +184,18 @@ class TestValidation:
         parts, _, _ = cancer_parts
         model = PrivacyPreservingSVM("horizontal", max_iter=100, tol=1e-2, seed=0).fit(parts)
         assert len(model.history_) < 100
+
+
+class TestDriverPlumbing:
+    def test_mappers_accessor_sorted_and_used_by_trainer(self, cancer_parts):
+        parts, _, _ = cancer_parts
+        model = PrivacyPreservingSVM("horizontal", max_iter=5, seed=0).fit(parts)
+        driver = model.driver_
+        keys = sorted(driver._mappers)
+        assert driver.mappers() == [driver._mappers[key] for key in keys]
+        assert model._workers() == [m.worker for m in driver.mappers()]
+
+    def test_serialize_counter_accumulates(self, cancer_parts):
+        parts, _, _ = cancer_parts
+        model = PrivacyPreservingSVM("horizontal", max_iter=5, seed=0).fit(parts)
+        assert model.network_.metrics.get("network.serialize_s") > 0.0

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from repro.cluster.network import Network
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 
@@ -245,3 +246,57 @@ class TestResidueVectorContainer:
         assert isinstance(restored, ResidueVector)
         assert restored == vec
         assert codec.subtract(restored, vec).to_ints() == [0] * 20
+
+
+WIRE_CODECS = [
+    pytest.param({"modulus_bits": 64, "fractional_bits": 20}, id="pow2-64"),
+    pytest.param({"modulus_bits": 96, "fractional_bits": 30}, id="pow2-96"),
+    pytest.param({}, id="pow2-128"),
+    pytest.param({"modulus": MERSENNE_PRIME_127}, id="mersenne-prime-127"),
+]
+
+
+class TestWireForm:
+    """``ResidueVector`` pickles compactly and round-trips exactly."""
+
+    @pytest.mark.parametrize("n", [0, 1, 65, 600])
+    @pytest.mark.parametrize("config", WIRE_CODECS)
+    def test_roundtrip_is_exact(self, config, n):
+        codec = FixedPointCodec(**config)
+        vec = codec.random_vector_array(n, default_rng(37))
+        restored = pickle.loads(pickle.dumps(vec, protocol=pickle.HIGHEST_PROTOCOL))
+        assert isinstance(restored, ResidueVector)
+        assert restored.modulus == vec.modulus
+        assert restored.limbs.dtype == vec.limbs.dtype
+        assert restored.limbs.shape == vec.limbs.shape
+        assert restored.to_ints() == vec.to_ints()
+        # The codec accepts the restored vector like any other operand.
+        assert codec.sum_arrays([restored], [vec]).to_ints() == [0] * n
+
+    @pytest.mark.parametrize("n", [1, 65, 600])
+    @pytest.mark.parametrize("config", WIRE_CODECS[:3])
+    def test_limb_vector_size_is_payload_plus_small_header(self, config, n):
+        vec = FixedPointCodec(**config).random_vector_array(n, default_rng(41))
+        blob = pickle.dumps(vec, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < vec.limbs.nbytes + 128
+
+    def test_encoded_values_decode_after_transport(self):
+        codec = FixedPointCodec()
+        values = np.array([-3.25, 0.0, 1e-9, 7.5])
+        restored = pickle.loads(pickle.dumps(codec.encode_array(values)))
+        np.testing.assert_array_equal(
+            codec.decode(restored), codec.decode(codec.encode_array(values))
+        )
+
+    def test_sender_mutation_after_send_does_not_reach_receiver(self):
+        network = Network()
+        network.register("a")
+        network.register("b")
+        codec = FixedPointCodec()
+        mask = codec.random_vector_array(65, default_rng(43))
+        sent = mask.to_ints()
+        network.send("a", "b", mask, kind="mask")
+        mask.limbs[:] = 0
+        received = network.receive("b", kind="mask")
+        assert received.to_ints() == sent
+        assert not np.shares_memory(received.limbs, mask.limbs)

@@ -8,6 +8,7 @@ check the cross-cutting facts no unit test covers.
 import numpy as np
 import pytest
 
+from repro.cluster.network import NetworkError
 from repro.core.horizontal_kernel import HorizontalKernelSVM
 from repro.core.horizontal_linear import HorizontalLinearSVM
 from repro.core.partitioning import horizontal_partition, vertical_partition
@@ -158,5 +159,5 @@ class TestFaultInjection:
         # masking protocol cannot proceed without all participants.
         model.fit(parts)
         model.network_.fail_node("learner-2")
-        with pytest.raises(Exception):
+        with pytest.raises(NetworkError, match=r"node 'learner-2' has failed"):
             model.driver_.run("training-data", max_iterations=2)

@@ -1,12 +1,9 @@
-"""Unit tests for repro.utils.rng and repro.utils.timing."""
-
-import time
+"""Unit tests for repro.utils.rng."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
 
 
 class TestAsRng:
@@ -45,31 +42,3 @@ class TestSpawnRngs:
         b = [c.integers(0, 100) for c in spawn_rngs(9, 3)]
         assert a == b
 
-
-class TestStopwatch:
-    def test_accumulates_time(self):
-        sw = Stopwatch()
-        with sw.lap("work"):
-            time.sleep(0.01)
-        assert sw.total("work") >= 0.005
-
-    def test_counts_laps(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw.lap("x"):
-                pass
-        assert sw.count("x") == 3
-
-    def test_unknown_lap_is_zero(self):
-        sw = Stopwatch()
-        assert sw.total("nope") == 0.0
-        assert sw.count("nope") == 0
-
-    def test_as_dict_snapshot(self):
-        sw = Stopwatch()
-        sw.record("a", 1.5)
-        sw.record("a", 0.5)
-        sw.record("b", 2.0)
-        snap = sw.as_dict()
-        assert snap["a"] == pytest.approx(2.0)
-        assert snap["b"] == pytest.approx(2.0)

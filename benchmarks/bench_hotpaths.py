@@ -15,11 +15,17 @@ Usage::
 ``--check`` exits non-zero if any vectorized secure-sum configuration is
 slower than its legacy twin — the CI ``perf-smoke`` job runs exactly
 that, so a change that silently loses the speedup fails the build.
+
+The secure-sum and codec rows run at two ring widths: 64 bits, the
+one-word ring the trainer uses at its defaults
+(``fixed_point.ring_bits``), and 128 bits, the codec default and the
+multi-limb path.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -30,13 +36,15 @@ import numpy as np
 from repro.cluster.network import Network
 from repro.core.partitioning import horizontal_partition
 from repro.core.trainer import PrivacyPreservingSVM
-from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
 from repro.data.synthetic import make_linear_task
 from repro.svm.qp import solve_box_qp
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_hotpaths.json"
+#: One-word (trainer) and two-limb (codec default) ring widths.
+RING_BITS = (64, 128)
 
 
 def _timeit(fn, *, repeats: int) -> float:
@@ -74,10 +82,12 @@ def bench_secure_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict, di
         configs += [("prg", 8, 512)]
     repeats = 2 if smoke else 5
     pairs = []
-    for mode, n_participants, dim in configs:
+    for (mode, n_participants, dim), bits in itertools.product(configs, RING_BITS):
         pair = []
         for vectorized in (True, False):
-            codec = FixedPointCodec(max_terms=n_participants, vectorized=vectorized)
+            codec = FixedPointCodec(
+                modulus_bits=bits, max_terms=n_participants, vectorized=vectorized
+            )
             network = Network(keep_log=False)
             participants = [f"m{i}" for i in range(n_participants)]
             protocol = SecureSummationProtocol(
@@ -98,6 +108,7 @@ def bench_secure_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict, di
                     "mode": mode,
                     "participants": n_participants,
                     "dim": dim,
+                    "modulus_bits": bits,
                     "backend": "vectorized" if vectorized else "legacy",
                 },
                 wall,
@@ -114,21 +125,25 @@ def bench_codec_kernels(results: list[dict], *, smoke: bool) -> None:
     repeats = 3 if smoke else 7
     rng = np.random.default_rng(1)
     values = rng.normal(size=dim)
-    for vectorized in (True, False):
-        codec = FixedPointCodec(vectorized=vectorized)
-        backend = "vectorized" if vectorized else "legacy"
+    for bits, vectorized in itertools.product(RING_BITS, (True, False)):
+        codec = FixedPointCodec(modulus_bits=bits, vectorized=vectorized)
+        params = {
+            "dim": dim,
+            "modulus_bits": bits,
+            "backend": "vectorized" if vectorized else "legacy",
+        }
         a = codec.random_vector_array(dim, np.random.default_rng(2))
         b = codec.random_vector_array(dim, np.random.default_rng(3))
         _record(
             results,
             "codec.encode",
-            {"dim": dim, "backend": backend},
+            params,
             _timeit(lambda: codec.encode_array(values), repeats=repeats),
         )
         _record(
             results,
             "codec.random_vector",
-            {"dim": dim, "backend": backend},
+            params,
             _timeit(
                 lambda: codec.random_vector_array(dim, np.random.default_rng(4)),
                 repeats=repeats,
@@ -137,13 +152,13 @@ def bench_codec_kernels(results: list[dict], *, smoke: bool) -> None:
         _record(
             results,
             "codec.add",
-            {"dim": dim, "backend": backend},
+            params,
             _timeit(lambda: codec.add(a, b), repeats=repeats),
         )
         _record(
             results,
             "codec.decode",
-            {"dim": dim, "backend": backend},
+            params,
             _timeit(lambda: codec.decode(codec.encode_array(values)), repeats=repeats),
         )
 
@@ -190,6 +205,7 @@ def bench_end_to_end(
     dataset = make_linear_task(240, n_features, noise=0.05, seed=7)
     parts = horizontal_partition(dataset, 4, seed=0)
     max_iter = 5 if smoke else 15
+    bits = ring_bits(40, 4)  # the trainer's ring for 4 learners
     for vectorized in (True, False):
         last_model: list[PrivacyPreservingSVM] = []
 
@@ -197,7 +213,9 @@ def bench_end_to_end(
             # Fresh aggregator per fit: the adapter caches a protocol
             # bound to one Network, and each fit builds a new one.
             aggregator = SecureSumAggregator(
-                codec=FixedPointCodec(max_terms=4, vectorized=vectorized),
+                codec=FixedPointCodec(
+                    modulus_bits=bits, max_terms=4, vectorized=vectorized
+                ),
                 mode="fresh",
                 seed=0,
             )
@@ -218,6 +236,7 @@ def bench_end_to_end(
                 "learners": 4,
                 "n_features": n_features,
                 "max_iter": max_iter,
+                "modulus_bits": bits,
                 "backend": "vectorized" if vectorized else "legacy",
             },
             _timeit(fit, repeats=1 if smoke else 2),

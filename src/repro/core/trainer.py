@@ -60,7 +60,7 @@ from repro.core.mapreduce_svm import (
 )
 from repro.core.partitioning import VerticalPartition
 from repro.core.results import TrainingHistory
-from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.crypto.secure_sum import SecureSumAggregator
 from repro.data.dataset import Dataset
 from repro.obs.audit import ProtocolAuditLog
@@ -111,7 +111,11 @@ class PrivacyPreservingSVM:
         overriding ``secure``/``mask_mode`` — e.g. the dropout-robust
         :class:`~repro.crypto.threshold_sum.ThresholdSumAggregator`.
     fractional_bits:
-        Fixed-point precision of the secure aggregation.
+        Fixed-point precision of the secure aggregation.  The secure-sum
+        ring is the smallest whole number of 64-bit words that keeps a
+        per-value magnitude bound of at least 2^16
+        (:func:`~repro.crypto.fixed_point.ring_bits`); a value past the
+        bound stops the fit with an ``OverflowError``.
     eval_learner:
         Which learner's local model serves predictions for the
         horizontal kernel scheme (the paper reports learner 1 = index 0).
@@ -309,9 +313,11 @@ class PrivacyPreservingSVM:
             return self.aggregator_override
         if not self.secure:
             return PlaintextAggregator()
+        max_terms = max(self._n_learners, 2)
         codec = FixedPointCodec(
             fractional_bits=self.fractional_bits,
-            max_terms=max(self._n_learners, 2),
+            modulus_bits=ring_bits(self.fractional_bits, max_terms),
+            max_terms=max_terms,
         )
         return SecureSumAggregator(
             codec=codec, mode=self.mask_mode, seed=self.seed, audit=audit

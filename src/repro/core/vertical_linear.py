@@ -157,10 +157,14 @@ class VerticalConsensusReducer:
         free = (lam > 1e-8) & (lam < self.C - 1e-8)
         if free.any():
             return float(np.mean(self.y[free] - zeta[free]))
-        # No free SVs: bracket b by the two bound sets' margins.
+        # No free SVs: bracket b by the two bound sets' margins.  A
+        # point with lam = 0 needs y (zeta + b) >= 1, one at lam = C
+        # needs y (zeta + b) <= 1, so ``y - zeta`` bounds b from below
+        # for (lam = 0, y > 0) and (lam = C, y < 0), from above otherwise.
         margins = self.y - zeta
-        upper_set = margins[(lam <= 1e-8) & (self.y > 0) | (lam >= self.C - 1e-8) & (self.y < 0)]
-        lower_set = margins[(lam <= 1e-8) & (self.y < 0) | (lam >= self.C - 1e-8) & (self.y > 0)]
+        at_zero, at_c = lam <= 1e-8, lam >= self.C - 1e-8
+        upper_set = margins[at_zero & (self.y < 0) | at_c & (self.y > 0)]
+        lower_set = margins[at_zero & (self.y > 0) | at_c & (self.y < 0)]
         hi = float(np.min(upper_set)) if upper_set.size else 0.0
         lo = float(np.max(lower_set)) if lower_set.size else 0.0
         return 0.5 * (hi + lo)

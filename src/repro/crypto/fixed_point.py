@@ -15,6 +15,16 @@ the rounded inputs as long as the magnitudes stay below
 silently wrapping, because a wrapped consensus average would corrupt
 training in ways that are very hard to debug.
 
+**Ring width.**  The codec's own default is a 128-bit ring.  The
+trainer sizes its secure-sum ring with :func:`ring_bits`: the smallest
+whole number of 64-bit words with
+``fractional_bits + ceil(log2 max_terms) + 1 + HEADROOM_BITS <= bits``,
+so every value keeps a magnitude bound of at least ``2^HEADROOM_BITS``.
+At 40 fractional bits and up to 128 learners that is one word
+(q = 2^64, ``max_magnitude`` = 2^20 at M = 8); a finer scale or more
+learners gets a second word.  A value past the bound is an
+``OverflowError`` at encode, never a wrapped sum.
+
 Two backends implement the same arithmetic:
 
 * the **legacy list backend** — vectors of arbitrary-precision Python
@@ -27,7 +37,10 @@ Two backends implement the same arithmetic:
   multi-limb ``uint64`` numpy arrays of shape ``(n, L)`` (``L = 2`` for
   the default 128-bit group) with batched ``encode``/``decode`` and one
   multi-operand modular sum (:meth:`FixedPointCodec.sum_arrays`, which
-  also backs ``add``/``subtract``).  Odd (prime) moduli use object-dtype
+  also backs ``add``/``subtract``).  A ring of at most 64 bits stores one
+  word per residue and uses native kernels: encode is a signed ``int64``
+  cast, decode a sign extension, and the sum plain ``uint64``
+  wraparound arithmetic.  Odd (prime) moduli use object-dtype
   arrays of Python ints, which keeps the arithmetic exact where a fixed
   limb count cannot.
 
@@ -49,7 +62,7 @@ from typing import Iterator, Sequence, Union, overload
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["FixedPointCodec", "ResidueVector"]
+__all__ = ["HEADROOM_BITS", "FixedPointCodec", "ResidueVector", "ring_bits"]
 
 _WORD_BITS = 64
 _WORD_MOD = 1 << _WORD_BITS
@@ -57,8 +70,27 @@ _FULL_MASK = np.uint64(2**64 - 1)
 _HALF_BITS = 32
 _HALF_MASK = (1 << _HALF_BITS) - 1
 
+#: log2 of the smallest per-value magnitude bound :func:`ring_bits` allows.
+HEADROOM_BITS = 16
+
 #: Residue-vector operand accepted by the polymorphic codec ops.
 ResidueLike = Union["ResidueVector", Sequence[int]]
+
+
+def ring_bits(fractional_bits: int, max_terms: int) -> int:
+    """Bits of the smallest whole-word ring ``2^bits`` for these values.
+
+    The smallest multiple of 64 with
+    ``fractional_bits + ceil(log2 max_terms) + 1 + HEADROOM_BITS <= bits``:
+    a sum of ``max_terms`` values, each below ``2^HEADROOM_BITS`` in
+    magnitude at ``2^-fractional_bits`` resolution, then stays inside the
+    centered range of ``Z_{2^bits}``.  The codec's ``max_magnitude`` for
+    that ring is at least ``2^HEADROOM_BITS``.
+    """
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    needed = fractional_bits + (max_terms - 1).bit_length() + 1 + HEADROOM_BITS
+    return _WORD_BITS * -(-needed // _WORD_BITS)
 
 
 class ResidueVector:
@@ -202,6 +234,8 @@ class FixedPointCodec:
             self._top_mask = _FULL_MASK
             self._sign_shift = np.uint64(0)
             self._mask_words = self._n_limbs + 1
+        # One word per residue: the native int64/uint64 kernels apply.
+        self._one_word = self.vectorized and self._power_of_two and self._n_limbs == 1
 
     # -- scalars (Python ints: vectors of arbitrary-precision residues) --
 
@@ -293,6 +327,11 @@ class FixedPointCodec:
         """
         arr = self._check_encodable(values)
         scaled = np.rint(arr * float(self.scale))
+        if self._one_word:
+            # Exact: the bound check keeps |scaled| below 2^63, and the
+            # two's-complement word reduced mod 2^k is the residue.
+            words = scaled.astype(np.int64).view(np.uint64) & self._top_mask
+            return ResidueVector(words.reshape(-1, 1), self.modulus)
         if not self._use_limbs():
             ints = [int(v) % self.modulus for v in scaled]
             return ResidueVector(np.array(ints, dtype=object), self.modulus)
@@ -335,11 +374,14 @@ class FixedPointCodec:
     ) -> ResidueVector:
         """``sum(plus) - sum(minus) mod q`` as one batched operation.
 
-        On the limb backend each 64-bit limb is split into two 32-bit
-        halves, every half-limb column is summed over all operands in
-        ``int64`` (no overflow below 2^31 operands), and one signed carry
-        pass folds the column sums back into limbs.  Object-dtype
-        vectors sum their Python ints exactly.
+        With one word per residue the sums are native ``uint64``
+        arithmetic, whose wraparound is reduction mod ``2^64`` and so
+        mod any ``q = 2^k`` with ``k <= 64`` after the top mask.  With
+        more limbs each 64-bit limb is split into two 32-bit halves,
+        every half-limb column is summed over all operands in ``int64``
+        (no overflow below 2^31 operands), and one signed carry pass
+        folds the column sums back into limbs.  Object-dtype vectors sum
+        their Python ints exactly.
         """
         vplus = [self._coerce(v) for v in plus]
         vminus = [self._coerce(v) for v in minus]
@@ -353,11 +395,18 @@ class FixedPointCodec:
         if not self._use_limbs():
             total = sum(v.limbs for v in vplus) - sum(v.limbs for v in vminus)
             return ResidueVector(total % self.modulus, self.modulus)
+        k = len(vplus)
+        if self._one_word:
+            words = np.stack([v.limbs[:, 0] for v in operands])
+            total = words[:k].sum(axis=0, dtype=np.uint64)
+            if k < len(operands):
+                total -= words[k:].sum(axis=0, dtype=np.uint64)
+            total &= self._top_mask
+            return ResidueVector(total.reshape(-1, 1), self.modulus)
         # The explicit little-endian view orders each limb's halves low,
         # high; an empty slice sums to zeros.
         stacked = np.stack([v.limbs for v in operands]).astype("<u8", copy=False)
         split = stacked.view("<u4")
-        k = len(vplus)
         net = split[:k].sum(axis=0, dtype=np.int64) - split[k:].sum(axis=0, dtype=np.int64)
         halves = np.empty(net.shape, dtype="<u4")
         carry: np.ndarray | int = 0
@@ -381,10 +430,12 @@ class FixedPointCodec:
         too_big = np.abs(arr) >= self.max_magnitude
         if too_big.any():
             worst = float(np.max(np.abs(arr)))
+            ring = f"2^{self.modulus_bits}" if self._power_of_two else str(self.modulus)
             raise OverflowError(
                 f"value magnitude {worst:g} exceeds the overflow-safe bound "
-                f"{self.max_magnitude:g} for max_terms={self.max_terms}; "
-                f"increase modulus_bits or reduce fractional_bits"
+                f"{self.max_magnitude:g} of the ring Z_q, q = {ring}, with "
+                f"fractional_bits={self.fractional_bits} and "
+                f"max_terms={self.max_terms}"
             )
         return arr
 
@@ -436,7 +487,10 @@ class FixedPointCodec:
         correctly-rounded ``int / int`` division the legacy path
         performs.  Multi-limb magnitudes (astronomical masked shares,
         sums beyond 2^64 ulps) take the exact per-element path instead
-        — composing floats limb-by-limb could double-round.
+        — composing floats limb-by-limb could double-round.  A one-word
+        residue is sign-extended to its centered ``int64`` value, whose
+        ``int64 -> float64`` conversion is correctly rounded the same
+        way.
         """
         if vector.modulus != self.modulus:
             raise ValueError(
@@ -446,6 +500,11 @@ class FixedPointCodec:
         limbs = vector.limbs
         if limbs.dtype == object:
             return self.decode(vector.to_ints())
+        if self._one_word:
+            # Sign-extend the k-bit residue to its centered int64 value.
+            shift = _WORD_BITS - self.modulus_bits
+            signed = (limbs[:, 0] << np.uint64(shift)).view(np.int64) >> shift
+            return signed.astype(np.float64) / float(self.scale)
         negative = ((limbs[:, -1] >> self._sign_shift) & np.uint64(1)) == 1
         magnitude = limbs
         if np.any(negative):

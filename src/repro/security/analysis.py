@@ -132,7 +132,7 @@ def share_uniformity_statistic(view: AdversaryView, codec: FixedPointCodec) -> f
     significant byte, and returns the normalized chi-squared statistic
     against the uniform distribution (values near 1 are consistent with
     uniform; a plaintext leak would concentrate mass near byte 0 or 255
-    because real encodings are tiny within the 2^128 group).
+    because real encodings are tiny within the group Z_q).
     """
     residues: list[int] = []
     for payload in view.payloads("masked-share"):

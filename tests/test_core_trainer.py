@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.horizontal_linear import HorizontalLinearSVM
+from repro.core.mapreduce_svm import HorizontalSVMMapper
 from repro.core.partitioning import horizontal_partition, vertical_partition
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.core.vertical_linear import VerticalLinearSVM
+from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.svm.kernels import RBFKernel
 
 
@@ -199,3 +201,76 @@ class TestDriverPlumbing:
         parts, _, _ = cancer_parts
         model = PrivacyPreservingSVM("horizontal", max_iter=5, seed=0).fit(parts)
         assert model.network_.metrics.get("network.serialize_s") > 0.0
+
+
+VARIANTS = {
+    "h-lin": ("horizontal", None),
+    "h-ker": ("horizontal", RBFKernel(gamma=0.1)),
+    "v-lin": ("vertical", None),
+    "v-ker": ("vertical", RBFKernel(gamma=0.1)),
+}
+
+
+class TestSecureSumRing:
+    """The trainer's ring is one 64-bit word with wide headroom."""
+
+    def test_width_rule(self):
+        assert ring_bits(40, 8) == 64
+        assert ring_bits(52, 8) == 128
+        assert FixedPointCodec(modulus_bits=ring_bits(40, 8), max_terms=8).max_magnitude == 2.0**20
+
+    @pytest.mark.parametrize("C", [50.0, 1e6], ids=["paper-C", "C-1e6"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_headroom_and_plaintext_agreement(self, variant, C, cancer_split, monkeypatch):
+        train, test = cancer_split
+        partitioning, kernel = VARIANTS[variant]
+        if partitioning == "horizontal":
+            data = horizontal_partition(train, 4, seed=0)
+        else:
+            data = vertical_partition(train, 4, seed=0)
+        largest = [0.0]
+        encode_array = FixedPointCodec.encode_array
+
+        def recording_encode(codec, values):
+            largest[0] = max(largest[0], float(np.max(np.abs(values))))
+            return encode_array(codec, values)
+
+        monkeypatch.setattr(FixedPointCodec, "encode_array", recording_encode)
+        config = dict(kernel=kernel, C=C, rho=100.0, max_iter=20, seed=0, on_health="ignore")
+        secure = PrivacyPreservingSVM(partitioning, **config).fit(data)
+        plain = PrivacyPreservingSVM(partitioning, secure=False, **config).fit(data)
+
+        codec = secure.driver_.aggregator.codec
+        assert codec.modulus == 2**64
+        assert codec.zeros_array(1).limbs.shape == (1, 1)
+        assert 0.0 < largest[0] < codec.max_magnitude / 1000
+        np.testing.assert_allclose(
+            secure.decision_function(test.X), plain.decision_function(test.X), atol=1e-6
+        )
+
+    def test_finer_scale_gets_two_words(self, cancer_parts):
+        parts, _, _ = cancer_parts
+        model = PrivacyPreservingSVM(fractional_bits=52, max_iter=2, seed=0).fit(parts)
+        codec = model.driver_.aggregator.codec
+        assert codec.modulus == 2**128
+        assert codec.zeros_array(1).limbs.shape == (1, 2)
+
+    def test_overflow_mid_fit_is_a_defined_error(self, cancer_parts, monkeypatch):
+        parts, _, _ = cancer_parts
+        map_step = HorizontalSVMMapper.map
+
+        def blow_up_learner_1(mapper, broadcast, context):
+            out = map_step(mapper, broadcast, context)
+            if context.iteration == 3 and context.node_id == "learner-1":
+                out = {key: value * 1e9 for key, value in out.items()}
+            return out
+
+        monkeypatch.setattr(HorizontalSVMMapper, "map", blow_up_learner_1)
+        model = PrivacyPreservingSVM(max_iter=10, seed=0, on_health="ignore")
+        with pytest.raises(OverflowError, match=r"bound 2\.09715e\+06 of the ring Z_q, q = 2\^64"):
+            model.fit(parts)
+        # The completed rounds stay inspectable; the overflowing one
+        # never produced a sum.
+        assert len(model.history_) == 3
+        assert len(model.audit_log_.rounds) == 3
+        assert model.audit_log_.ok

@@ -106,6 +106,17 @@ class TestVerticalConsensusReducer:
         model = VerticalLinearSVM(max_iter=60).fit(partition)
         assert np.isfinite(model.reducer_.bias)
 
+    def test_bias_without_free_support_vectors_is_feasible(self):
+        # Every lam at a bound: b comes from the bracket the KKT
+        # conditions give, here [-0.2, 0.1], and must keep every margin.
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        zeta = np.array([5.0, 1.2, -1.2, -1.1])
+        reducer = VerticalConsensusReducer(y, C=10.0, rho=10.0, n_learners=2)
+        reducer.zbar = zeta / 2
+        bias = reducer._recover_bias(np.zeros(4))
+        assert bias == pytest.approx(-0.05)
+        assert np.all(y * (zeta + bias) >= 1.0)
+
     def test_knapsack_dual_feasible(self, cancer_vertical):
         partition, _, _ = cancer_vertical
         reducer = VerticalConsensusReducer(partition.y, C=50.0, rho=100.0, n_learners=3)

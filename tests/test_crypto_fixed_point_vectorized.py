@@ -10,6 +10,7 @@ trajectories silently depend on the backend.
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def reference_sum(plus: list[list[int]], minus: list[list[int]], modulus: int) -
 
 
 class TestSumArrays:
-    @pytest.mark.parametrize("bits", [64, 96, 128])
+    @pytest.mark.parametrize("bits", [50, 60, 64, 96, 128])
     @pytest.mark.parametrize("k", [1, 2, 7, 15])
     @pytest.mark.parametrize("with_minus", [False, True], ids=["plus-only", "plus-minus"])
     def test_matches_python_int_reference(self, bits, k, with_minus):
@@ -224,6 +225,42 @@ class TestSumArrays:
             codec.sum_arrays([])
         with pytest.raises(ValueError, match="length"):
             codec.sum_arrays([codec.zeros_array(2)], [codec.zeros_array(3)])
+
+
+class TestOneWordKernels:
+    """Rings of at most 64 bits: native int64/uint64 encode, decode, sum."""
+
+    @pytest.fixture(params=[64, 60, 50], ids=lambda bits: f"q=2^{bits}")
+    def one_word_pair(self, request):
+        kwargs = {"modulus_bits": request.param, "max_terms": 8}
+        return FixedPointCodec(**kwargs), FixedPointCodec(**kwargs, vectorized=False)
+
+    def test_encode_decode_match_legacy_bit_for_bit(self, one_word_pair):
+        codec, legacy = one_word_pair
+        bound, ulp = codec.max_magnitude * 0.99, 2.0**-codec.fractional_bits
+        values = np.array(
+            [0.0, -0.0, bound, -bound, 3.7, -3.7]
+            + [ulp, -ulp, 2 * ulp, -2 * ulp, 0.5 * ulp, -1.5 * ulp]
+        )
+        packed = codec.encode_array(values)
+        assert packed.limbs.shape == (len(values), 1)
+        assert packed.to_ints() == legacy.encode_array(values).to_ints() == codec.encode(values)
+        decoded = codec.decode(packed)
+        assert np.array_equal(decoded, codec.decode(packed.to_ints()))
+        assert np.array_equal(np.signbit(decoded), np.signbit(codec.decode(packed.to_ints())))
+
+    def test_decode_across_the_sign_boundary(self, one_word_pair):
+        codec, _ = one_word_pair
+        q, half = codec.modulus, codec.modulus // 2
+        residues = [0, 1, half - 2, half - 1, half, half + 1, q - 2, q - 1]
+        packed = codec._from_ints(residues)
+        assert np.array_equal(codec.decode(packed), codec.decode(residues))
+
+    def test_overflow_names_the_ring_and_bound(self, one_word_pair):
+        codec, _ = one_word_pair
+        message = f"bound {codec.max_magnitude:g} of the ring Z_q, q = 2^{codec.modulus_bits}"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            codec.encode_array([0.0, -codec.max_magnitude])
 
 
 class TestResidueVectorContainer:

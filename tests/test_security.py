@@ -120,8 +120,13 @@ class TestUniformityAndLeak:
         assert stat < 10.0
 
     @pytest.mark.parametrize(
-        "codec", [FixedPointCodec(modulus=2**128), FixedPointCodec(modulus_bits=128)],
-        ids=["explicit-modulus", "modulus-bits"],
+        "codec",
+        [
+            FixedPointCodec(modulus=2**128),
+            FixedPointCodec(modulus_bits=128),
+            FixedPointCodec(modulus_bits=64),
+        ],
+        ids=["explicit-modulus", "modulus-bits", "one-word-64"],
     )
     def test_uniformity_of_20k_shares_near_one(self, codec, rng):
         # The statistic reads the top byte of log2(q)-bit residues; an

@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.results import IterationRecord, TrainingHistory
 from repro.data.dataset import Dataset
@@ -124,10 +123,10 @@ class HorizontalKernelWorker:
         k_mg = kernel(self.X, self.landmarks)
         k_gg = kernel.gram(self.landmarks)
         kg_mat = np.eye(n_land) + M * rho_ * k_gg
-        # Cholesky of the (symmetric positive definite) reduced matrix.
-        self._kg_factor = sla.cho_factor(kg_mat)
-        kg_inv_kgm = sla.cho_solve(self._kg_factor, k_mg.T)  # K_g^{-1} K_gm, (l, n)
-        kg_inv_kgg = sla.cho_solve(self._kg_factor, k_gg)  # K_g^{-1} K_gg, (l, l)
+        # One solve against the reduced matrix for both right-hand sides:
+        # K_g^{-1} K_gm, (l, n), and K_g^{-1} K_gg, (l, l).
+        kg_inv = np.linalg.solve(kg_mat, np.hstack([k_mg.T, k_gg]))
+        kg_inv_kgm, kg_inv_kgg = kg_inv[:, :n], kg_inv[:, n:]
 
         phi_s_phi = M * (k_mm - M * rho_ * k_mg @ kg_inv_kgm)
         self._phi_s_g = M * (k_mg - M * rho_ * k_mg @ kg_inv_kgg)  # (n, l)

@@ -12,9 +12,12 @@ has, by the push-through identity (the paper's eq. (20) trick),
 
     alpha_m = (K_m + I/rho)^(-1) p_m,      a_m = Phi_m w_m = K_m alpha_m,
 
-where ``K_m = K(X_m, X_m)`` is the Gram matrix on learner m's columns —
-an ``N x N`` Cholesky factored once.  The Reducer step is *identical* to
-the linear case (:class:`~repro.core.vertical_linear.VerticalConsensusReducer`).
+where ``K_m = K(X_m, X_m)`` is the Gram matrix on learner m's columns.
+The inverse ``(K_m + I/rho)^(-1)`` is formed once at set-up, and since
+``K_m (K_m + I/rho)^(-1) = I - (1/rho) (K_m + I/rho)^(-1)`` the share is
+``a_m = p_m - alpha_m / rho``: each step is one ``N x N`` matrix-vector
+product.  The Reducer step is *identical* to the linear case
+(:class:`~repro.core.vertical_linear.VerticalConsensusReducer`).
 
 Note the resulting joint model is an **additive kernel machine**
 ``f(x) = sum_m K_m(x_m, X_m) alpha_m + b``: each learner contributes a
@@ -28,7 +31,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.partitioning import VerticalPartition
 from repro.core.results import IterationRecord, TrainingHistory
@@ -62,7 +64,7 @@ class VerticalKernelWorker:
         self.rho = check_positive(rho, "rho")
         n = self.X.shape[0]
         self._K = kernel.gram(self.X)
-        self._factor = sla.cho_factor(self._K + np.eye(n) / self.rho)
+        self._ridge_inv = np.linalg.inv(self._K + np.eye(n) / self.rho)
         self.alpha = np.zeros(n)
         self.share = np.zeros(n)  # a_m = K_m alpha_m
 
@@ -78,8 +80,8 @@ class VerticalKernelWorker:
                 f"correction has length {correction.shape[0]}, expected {self.n_samples}"
             )
         target = self.share + correction
-        self.alpha = sla.cho_solve(self._factor, target)
-        self.share = self._K @ self.alpha
+        self.alpha = self._ridge_inv @ target
+        self.share = target - self.alpha / self.rho  # = K_m alpha_m
         return {"share": self.share}
 
     def score_share(self, X_test: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ problem (paper eq. (26)) couples the learners only through
 * **Mapper m** solves the ridge subproblem
   ``w_m := argmin (1/2)||w||^2 + (rho/2) ||X_m w - p_m||^2`` with target
   ``p_m = a_m + corr`` (``a_m = X_m w_m`` from the previous round and
-  ``corr = zbar - abar - u`` broadcast by the Reducer); a ``k_m x k_m``
-  Cholesky solve, factored once;
+  ``corr = zbar - abar - u`` broadcast by the Reducer).  The solution is
+  the fixed linear map ``w_m = (X_m'X_m + I/rho)^(-1) X_m' p_m``, formed
+  once at set-up, so each step is one ``k_m x N`` matrix-vector product;
 * the Reducer obtains ``abar = mean_m(a_m)`` by **secure summation**
   (this is the paper's ``c̄``), forms ``cbar = abar + u``, and solves the
   hinge proximal problem
@@ -34,7 +35,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.partitioning import VerticalPartition
 from repro.core.results import IterationRecord, TrainingHistory
@@ -64,7 +64,7 @@ class VerticalLinearWorker:
         self.rho = check_positive(rho, "rho")
         n, k = self.X.shape
         gram = self.X.T @ self.X + np.eye(k) / self.rho
-        self._factor = sla.cho_factor(gram)
+        self._ridge_map = np.linalg.solve(gram, self.X.T)  # (X'X + I/rho)^(-1) X', (k, n)
         self.w = np.zeros(k)
         self.share = np.zeros(n)  # a_m = X_m w_m
 
@@ -80,7 +80,7 @@ class VerticalLinearWorker:
                 f"correction has length {correction.shape[0]}, expected {self.n_samples}"
             )
         target = self.share + correction
-        self.w = sla.cho_solve(self._factor, self.X.T @ target)
+        self.w = self._ridge_map @ target
         self.share = self.X @ self.w
         return {"share": self.share}
 

@@ -69,6 +69,14 @@ _WORD_MOD = 1 << _WORD_BITS
 _FULL_MASK = np.uint64(2**64 - 1)
 _HALF_BITS = 32
 _HALF_MASK = (1 << _HALF_BITS) - 1
+# Bit generators whose raw output is one full 64-bit word, so that
+# ``random_raw`` yields the same words as ``integers(0, 2**64)``.
+_RAW_WORD_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.Philox,
+    np.random.SFC64,
+)
 
 #: log2 of the smallest per-value magnitude bound :func:`ring_bits` allows.
 HEADROOM_BITS = 16
@@ -354,6 +362,9 @@ class FixedPointCodec:
         All ``n × words`` 64-bit words come from one
         ``rng.integers(0, 2**64, size=(n, words), dtype=uint64)`` draw,
         which advances the generator by exactly that many raw words.
+        When the bit generator's raw output is a full 64-bit word the
+        words are taken from ``random_raw`` instead: the same words and
+        end state, without the bounded-integer machinery.
         For ``q = 2^k``, ``words`` is the limb count and the top limb is
         cut to ``k`` bits, which is exactly uniform.  For odd ``q`` one
         extra word is drawn and the little-endian composition reduced
@@ -362,7 +373,11 @@ class FixedPointCodec:
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        words = rng.integers(0, _WORD_MOD, size=(n, self._mask_words), dtype=np.uint64)
+        shape = (n, self._mask_words)
+        if isinstance(rng.bit_generator, _RAW_WORD_GENERATORS):
+            words = rng.bit_generator.random_raw(shape)
+        else:
+            words = rng.integers(0, _WORD_MOD, size=shape, dtype=np.uint64)
         if self._use_limbs():
             words[:, -1] &= self._top_mask
             return ResidueVector(words, self.modulus)

@@ -12,13 +12,13 @@ the bias penalty removes the equality constraint — see DESIGN.md §6).
 Solved by Bertsekas' projected Newton method ("Projected Newton methods
 for optimization problems with simple constraints", 1982): fix the
 ε-active set (coordinates within ε of a bound the gradient pushes them
-into), take a Cholesky Newton step on the free block and a diagonally
-scaled gradient step on the active block, and backtrack along the
-projection arc until the Armijo condition holds.  Once the active set is
-right one Newton step is exact, so warm-started ADMM solves take one or
-two iterations.  The H-lin dual has rank at most features + 1, so the
-free block is often singular: a tiny trace-scaled shift keeps the
-Cholesky defined, with ``lstsq`` as the fallback.  Two safeguards keep
+into), take a Newton step on the free block and a diagonally scaled
+gradient step on the active block, and backtrack along the projection
+arc until the Armijo condition holds.  Once the active set is right one
+Newton step is exact, so warm-started ADMM solves take one or two
+iterations.  The H-lin dual has rank at most features + 1, so the free
+block is often singular: a tiny trace-scaled shift keeps the Newton
+solve defined, with ``lstsq`` as the fallback.  Two safeguards keep
 such steps useful: free coordinates on a bound that the Newton step
 would push out of the box are held there and the step re-solved, and
 the backtracking also tries the arc's first breakpoint exactly.
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.utils.validation import check_matrix, check_vector
 
@@ -82,19 +81,21 @@ def projected_gradient_residual(
 
 
 def _newton_direction(H_ff: np.ndarray, g_f: np.ndarray) -> np.ndarray:
-    """Newton step ``-H_ff^{-1} g_f`` on the free block, shifted if singular.
+    """Newton step ``-H_ff^{-1} g_f`` on the free block.
 
-    ``H_ff`` is a scratch copy and is shifted in place.  LAPACK is called
-    directly: ``cho_factor``'s argument checks cost as much as factoring
-    the small blocks the ADMM learners solve.
+    ``H_ff`` is a scratch copy.  Its diagonal is shifted in place by
+    ``_SHIFT`` times its mean (or by ``_SHIFT`` when that mean is not
+    positive), which keeps the solve defined on the rank-deficient blocks
+    the H-lin dual produces.  A block that is still exactly singular
+    falls back to the least-squares step.
     """
     n = g_f.shape[0]
     mean_diag = float(H_ff.trace()) / n
     H_ff.flat[:: n + 1] += _SHIFT * (mean_diag if mean_diag > 0.0 else 1.0)
-    factor, info = sla.lapack.dpotrf(H_ff)
-    if info == 0:
-        return -sla.lapack.dpotrs(factor, g_f)[0]
-    return -np.linalg.lstsq(H_ff, g_f, rcond=None)[0]
+    try:
+        return -np.linalg.solve(H_ff, g_f)
+    except np.linalg.LinAlgError:
+        return -np.linalg.lstsq(H_ff, g_f, rcond=None)[0]
 
 
 def _arc_steps(

@@ -45,6 +45,30 @@ def reference_random_vector(codec: FixedPointCodec, n: int, rng) -> list[int]:
     return out
 
 
+# The first four emit full 64-bit raw words (the ``random_raw`` path);
+# MT19937 emits 32-bit ones and takes the ``integers`` fallback.
+BIT_GENERATORS = [
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.Philox,
+    np.random.SFC64,
+    np.random.MT19937,
+]
+
+
+@pytest.fixture(params=BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def make_rng(request):
+    """Seed -> Generator over each bit generator the mask draw handles."""
+    return lambda seed: np.random.Generator(request.param(seed))
+
+
+def same_state(a, b) -> bool:
+    """Bit-generator states equal, including their array entries."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
 @pytest.fixture(params=CODEC_CONFIGS)
 def codec_pair(request):
     """(vectorized, legacy-backend) codecs with identical parameters."""
@@ -119,9 +143,9 @@ class TestArithmeticEquivalence:
 
 
 class TestRandomVectorStream:
-    def test_blocked_draw_matches_scalar_stream(self, codec_pair):
+    def test_blocked_draw_matches_scalar_stream(self, codec_pair, make_rng):
         codec, legacy = codec_pair
-        reference, vec_rng, leg_rng = default_rng(7), default_rng(7), default_rng(7)
+        reference, vec_rng, leg_rng = make_rng(7), make_rng(7), make_rng(7)
         for _ in range(3):
             expected = reference_random_vector(codec, 33, reference)
             assert codec.random_vector_array(33, vec_rng).to_ints() == expected
@@ -131,11 +155,11 @@ class TestRandomVectorStream:
         assert int(vec_rng.integers(0, 2**63)) == tail
         assert int(leg_rng.integers(0, 2**63)) == tail
 
-    def test_blocked_draw_after_interleaved_scalar_draws(self, codec_pair):
+    def test_blocked_draw_after_interleaved_scalar_draws(self, codec_pair, make_rng):
         # A pending buffered 32-bit half-word (left by a small-range
         # draw) must not shift the mask words.
         codec, _ = codec_pair
-        reference, blocked = default_rng(11), default_rng(11)
+        reference, blocked = make_rng(11), make_rng(11)
         assert int(reference.integers(0, 2)) == int(blocked.integers(0, 2))
         expected = reference_random_vector(codec, 10, reference)
         assert codec.random_vector_array(10, blocked).to_ints() == expected
@@ -147,19 +171,19 @@ class TestRandomVectorStream:
             codec, 17, default_rng(13)
         )
 
-    def test_backends_draw_identical_residues(self, codec_pair):
+    def test_backends_draw_identical_residues(self, codec_pair, make_rng):
         codec, legacy = codec_pair
-        packed = codec.random_vector_array(65, default_rng(19))
-        assert packed.to_ints() == legacy.random_vector_array(65, default_rng(19)).to_ints()
+        packed = codec.random_vector_array(65, make_rng(19))
+        assert packed.to_ints() == legacy.random_vector_array(65, make_rng(19)).to_ints()
         assert packed.limbs.dtype == (object if codec.modulus % 2 else np.uint64)
 
-    def test_draw_advances_generator_by_n_times_words(self, codec_pair):
+    def test_draw_advances_generator_by_n_times_words(self, codec_pair, make_rng):
         n = 21
         for c in codec_pair:
-            drawn, reference = default_rng(37), default_rng(37)
+            drawn, reference = make_rng(37), make_rng(37)
             c.random_vector_array(n, drawn)
             reference.integers(0, 2**64, size=n * mask_words(c), dtype=np.uint64)
-            assert drawn.bit_generator.state == reference.bit_generator.state
+            assert same_state(drawn.bit_generator.state, reference.bit_generator.state)
 
     def test_values_in_range(self, codec_pair):
         for c in codec_pair:

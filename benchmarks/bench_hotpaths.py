@@ -39,6 +39,7 @@ from repro.core.trainer import PrivacyPreservingSVM
 from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
 from repro.data.synthetic import make_linear_task
+from repro.svm.knapsack import solve_quadratic_knapsack
 from repro.svm.qp import solve_box_qp
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -188,6 +189,40 @@ def bench_box_qp(results: list[dict], *, smoke: bool) -> None:
     )
 
 
+def bench_reducer_knapsack(results: list[dict], *, smoke: bool) -> None:
+    """The V-lin Reducer's eq. (29) knapsack: n = 600, c = +-1, box [0, 50]."""
+    print("reducer knapsack:")
+    n, learners, rho = 600, 3, 100.0
+    rng = np.random.default_rng(6)
+    y = rng.choice([-1.0, 1.0], size=n)
+    d = learners * y * rng.normal(size=n) - 1.0
+    a = np.full(n, learners / rho)
+    repeats = 20 if smoke else 200
+    wall = _timeit(lambda: solve_quadratic_knapsack(a, d, y, 0.0, 0.0, 50.0), repeats=repeats)
+    _record(results, "knapsack.solve_quadratic_knapsack", {"n": n, "upper": 50.0}, wall)
+
+
+def bench_network_send(results: list[dict], *, smoke: bool) -> None:
+    """One ``Network.send`` + ``receive_message`` of a 600-word one-limb
+    mask, on the trainer's default network (a ``Profiler`` registry;
+    the message log is off to bound memory)."""
+    print("network send:")
+    network = Network(keep_log=False)
+    network.register("a")
+    network.register("b")
+    mask = FixedPointCodec(modulus_bits=64).random_vector_array(600, np.random.default_rng(7))
+    batch = 200 if smoke else 2000
+
+    def send_batch():
+        for _ in range(batch):
+            network.send("a", "b", mask, kind="mask")
+            network.receive_message("b", kind="mask")
+
+    wall = _timeit(send_batch, repeats=3 if smoke else 7) / batch
+    size = network.bytes_sent("mask") / network.messages_sent("mask")
+    _record(results, "network.send_receive", {"words": 600, "modulus_bits": 64}, wall, size)
+
+
 def bench_end_to_end(
     results: list[dict], *, smoke: bool, ledger_dir: Path | None = None
 ) -> None:
@@ -293,6 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     pairs = bench_secure_sum(results, smoke=args.smoke)
     bench_codec_kernels(results, smoke=args.smoke)
     bench_box_qp(results, smoke=args.smoke)
+    bench_reducer_knapsack(results, smoke=args.smoke)
+    bench_network_send(results, smoke=args.smoke)
     bench_end_to_end(results, smoke=args.smoke, ledger_dir=args.ledger)
 
     args.out.write_text(json.dumps(results, indent=1) + "\n")

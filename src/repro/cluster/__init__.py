@@ -17,10 +17,10 @@ communication claims can be *measured*:
 * :mod:`repro.cluster.mapreduce` — classic one-shot MapReduce jobs;
 * :mod:`repro.cluster.twister` — the iterative MapReduce driver with a
   broadcast feedback channel used by the privacy-preserving trainers;
-* :mod:`repro.cluster.tracing` — structured spans/events/counter samples
-  with JSONL and Chrome-trace exporters;
-* :mod:`repro.cluster.profiling` — the :class:`Profiler` facade joining
-  the counter registry and the trace recorder behind one snapshot.
+* :mod:`repro.cluster.tracing` — structured spans/events/per-iteration
+  counter totals with JSONL and Chrome-trace exporters;
+* :mod:`repro.cluster.profiling` — the :class:`Profiler`, a counter
+  registry with the trace recorder attached behind one snapshot.
 
 The observability surface (every counter name, the span schema, and the
 exporter formats) is documented in ``docs/OBSERVABILITY.md``.

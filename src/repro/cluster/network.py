@@ -18,25 +18,25 @@ Nodes are identified by opaque string ids and must be registered before
 use; messages are delivered into per-node, per-kind FIFO inboxes.
 
 Observability: byte/message counters are listed in
-``docs/OBSERVABILITY.md``; every :meth:`Network.send` additionally
-records a ``network.send`` trace event (tagged with the wire ``kind``,
-serialized size, and current iteration) on the attached
-:class:`~repro.cluster.tracing.TraceRecorder`.  By default the metrics
-object is a :class:`~repro.cluster.profiling.Profiler`, so counters and
-trace share one registry and one ``snapshot()`` schema.
+``docs/OBSERVABILITY.md``; the attached
+:class:`~repro.cluster.tracing.TraceRecorder` books them per iteration,
+and the message log stays the per-message wire view.  By default the
+metrics object is a :class:`~repro.cluster.profiling.Profiler`, so
+counters and trace share one registry and one ``snapshot()`` schema.
 
 Example
 -------
 >>> network = Network()
 >>> network.register("a")
 >>> network.register("b")
->>> message = network.send("a", "b", {"w": [1.0, 2.0]}, kind="consensus")
+>>> with network.tracer.iteration(0):
+...     message = network.send("a", "b", {"w": [1.0, 2.0]}, kind="consensus")
 >>> network.receive("b", kind="consensus")
 {'w': [1.0, 2.0]}
 >>> network.bytes_sent("consensus") == message.size_bytes
 True
->>> network.tracer.events[0].attrs["message_kind"]
-'consensus'
+>>> network.tracer.counter_totals[0]["network.bytes.consensus"] == message.size_bytes
+True
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ class Network:
     metrics:
         Shared counter registry; a private
         :class:`~repro.cluster.profiling.Profiler` (registry + tracer in
-        one) is created if omitted.  Passing a bare ``MetricRegistry``
-        still works — counters are kept, but increments lose their
-        per-iteration trace attribution.
+        one) is created if omitted.  A bare ``MetricRegistry`` works
+        too, with the same per-iteration attribution.
     latency_model:
         Transfer-time model for the simulated clock.
     keep_log:
@@ -130,12 +129,14 @@ class Network:
         Explicit :class:`~repro.cluster.tracing.TraceRecorder`;
         defaults to the one inside ``metrics`` when that is a
         ``Profiler``, else a fresh recorder.  The network attaches its
-        simulated clock so spans capture simulated-latency durations.
+        simulated clock so spans capture simulated-latency durations,
+        and its counter registry so iterations book their counter
+        totals.
     """
 
     def __init__(
         self,
-        metrics: MetricRegistry | Profiler | None = None,
+        metrics: MetricRegistry | None = None,
         latency_model: LatencyModel | None = None,
         *,
         keep_log: bool = True,
@@ -150,6 +151,7 @@ class Network:
         self.message_log: list[Message] = []
         self.simulated_time_s: float = 0.0
         self.tracer.sim_clock = lambda: self.simulated_time_s
+        self.tracer.registry = self.metrics
         self._inboxes: dict[str, dict[str, deque[Message]]] = {}
         self._seq = 0
         self._failed: set[str] = set()
@@ -187,9 +189,7 @@ class Network:
         Emits counters ``network.messages``, ``network.messages.<kind>``,
         ``network.bytes``, ``network.bytes.<kind>``,
         ``network.serialize_s`` (wall seconds spent pickling payloads —
-        the payload is serialized exactly once per send) and one
-        ``network.send`` trace event tagged with ``kind``, the byte
-        count, and the current iteration.
+        the payload is serialized exactly once per send).
         """
         self._require_registered(src)
         self._require_registered(dst)
@@ -221,18 +221,7 @@ class Network:
         self.metrics.increment(f"network.messages.{kind}", 1)
         self.metrics.increment("network.bytes", message.size_bytes)
         self.metrics.increment(f"network.bytes.{kind}", message.size_bytes)
-        transfer_s = self.latency_model.transfer_time(message)
-        self.simulated_time_s += transfer_s
-        self.tracer.event(
-            "network.send",
-            kind="network",
-            node=src,
-            src=src,
-            dst=dst,
-            message_kind=kind,
-            size_bytes=message.size_bytes,
-            transfer_sim_s=transfer_s,
-        )
+        self.simulated_time_s += self.latency_model.transfer_time(message)
 
         if self.keep_log:
             self.message_log.append(message)
@@ -242,8 +231,8 @@ class Network:
     def broadcast(self, src: str, dsts: list[str], payload: Any, kind: str = "data") -> None:
         """Send ``payload`` from ``src`` to every node in ``dsts``.
 
-        Emits the same counters and trace events as :meth:`send`, once
-        per destination (``src`` itself is skipped).
+        Emits the same counters as :meth:`send`, once per destination
+        (``src`` itself is skipped).
         """
         for dst in dsts:
             if dst != src:

@@ -1,19 +1,18 @@
 """Unified profiling facade: counters and spans behind one object.
 
-:class:`Profiler` pairs the flat, monotonic
+:class:`Profiler` is a flat, monotonic
 :class:`~repro.cluster.metrics.MetricRegistry` with a structured
-:class:`~repro.cluster.tracing.TraceRecorder` and exposes both behind
-the registry's own interface — any code written against
-``MetricRegistry`` (every ``network.metrics.increment(...)`` call site)
-works unchanged against a ``Profiler``, but each increment is *also*
-recorded as an iteration-tagged counter sample, which is what makes
-per-round crypto-op breakdowns derivable from a run.
+:class:`~repro.cluster.tracing.TraceRecorder` attached — any code
+written against ``MetricRegistry`` (every
+``network.metrics.increment(...)`` call site) works unchanged against a
+``Profiler``, and an increment is a plain registry increment.  The
+tracer books the registry's change per iteration at each
+``iteration()`` boundary, which is what makes per-round crypto-op
+breakdowns derivable from a run.
 
 :class:`~repro.cluster.network.Network` constructs a ``Profiler`` by
 default, so the full observability surface is on for every simulated
-run; pass a bare ``MetricRegistry`` to opt out of counter-sample
-attribution (counters still work, per-iteration tables lose the
-crypto-op column).
+run.
 
 ``snapshot()`` returns the one schema shared by counters and spans —
 see ``docs/OBSERVABILITY.md`` for the field-by-field reference.
@@ -27,8 +26,8 @@ Example
 3.0
 >>> profiler.snapshot()["counters"]
 {'crypto.masks_generated': 3.0}
->>> profiler.tracer.counter_samples
-[(0, 'crypto.masks_generated', 3.0)]
+>>> profiler.tracer.counter_totals
+{0: {'crypto.masks_generated': 3.0}}
 """
 
 from __future__ import annotations
@@ -41,47 +40,23 @@ from repro.cluster.tracing import Span, TraceRecorder
 __all__ = ["Profiler"]
 
 
-class Profiler:
-    """Facade unifying a counter registry and a trace recorder.
+class Profiler(MetricRegistry):
+    """A counter registry with a trace recorder attached.
 
     Parameters
     ----------
-    registry:
-        Counter store; a fresh :class:`MetricRegistry` if omitted.
     tracer:
         Span/event store; a fresh :class:`TraceRecorder` if omitted.
     """
 
-    def __init__(
-        self,
-        registry: MetricRegistry | None = None,
-        tracer: TraceRecorder | None = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricRegistry()
+    def __init__(self, tracer: TraceRecorder | None = None) -> None:
+        super().__init__()
         self.tracer = tracer if tracer is not None else TraceRecorder()
-
-    # -- MetricRegistry interface (drop-in) -----------------------------
-
-    def increment(self, name: str, amount: float = 1.0) -> None:
-        """Increment counter ``name`` and record an iteration-tagged sample."""
-        self.registry.increment(name, amount)
-        self.tracer.counter(name, amount)
-
-    def get(self, name: str) -> float:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self.registry.get(name)
-
-    def with_prefix(self, prefix: str) -> dict[str, float]:
-        """All counters whose name starts with ``prefix``."""
-        return self.registry.with_prefix(prefix)
-
-    def as_dict(self) -> dict[str, float]:
-        """Snapshot of every counter."""
-        return self.registry.as_dict()
+        self.tracer.registry = self
 
     def reset(self) -> None:
         """Zero all counters *and* drop the recorded trace."""
-        self.registry.reset()
+        super().reset()
         self.tracer.clear()
 
     # -- TraceRecorder interface ----------------------------------------
@@ -112,7 +87,7 @@ class Profiler:
         * ``"dropped"`` — records discarded past the tracer's cap.
         """
         return {
-            "counters": self.registry.as_dict(),
+            "counters": self.as_dict(),
             "spans": list(self.tracer.spans),
             "events": list(self.tracer.events),
             "iterations": self.tracer.iteration_costs(),
@@ -121,6 +96,6 @@ class Profiler:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Profiler(counters={len(self.registry.as_dict())}, "
+            f"Profiler(counters={len(self.as_dict())}, "
             f"spans={len(self.tracer.spans)}, events={len(self.tracer.events)})"
         )

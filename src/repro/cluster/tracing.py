@@ -10,13 +10,11 @@ by default:
   durations, parent/child nesting, a node id, an iteration tag, and
   free-form attributes (e.g. the ADMM residuals attached to a
   convergence-check span);
-* **events** — instantaneous points, most importantly one
-  ``network.send`` event per message carrying its wire ``kind`` and
-  serialized size;
-* **counter samples** — an ``(iteration, name, amount)`` triple per
-  counter increment routed through a
-  :class:`~repro.cluster.profiling.Profiler`, which is what makes
-  per-iteration crypto-op breakdowns derivable.
+* **events** — instantaneous points with free-form attributes;
+* **per-iteration counter totals** — each :meth:`TraceRecorder.iteration`
+  boundary books the attached registry's change since the previous
+  boundary to the iteration being left, which is what makes
+  per-iteration bytes by kind and crypto-op counts derivable.
 
 Exporters turn a recording into ``.jsonl`` (:meth:`TraceRecorder.to_jsonl`),
 Chrome-trace JSON loadable in ``chrome://tracing`` / Perfetto
@@ -48,6 +46,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator
+
+from repro.cluster.metrics import MetricRegistry
 
 __all__ = [
     "Span",
@@ -120,7 +120,7 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Records spans, events, and counter samples for one simulated run.
+    """Records spans, events, and per-iteration counter totals for one run.
 
     Parameters
     ----------
@@ -128,14 +128,18 @@ class TraceRecorder:
         When ``False``, ``span()`` still yields usable handles (so
         instrumented code needs no guards) but nothing is stored.
     max_records:
-        Upper bound on stored spans + events + counter samples; once
-        reached, further records are dropped and counted in
-        :attr:`dropped` (bounding memory on very long benchmark runs,
-        like ``Network(keep_log=False)`` does for the message log).
+        Upper bound on stored spans + events (counter totals are not
+        capped); once reached, further records are dropped and counted in
+        :attr:`dropped` (bounding memory on very long benchmark runs, like
+        ``Network(keep_log=False)`` does for the message log).
     sim_clock:
         Zero-argument callable returning the current simulated time;
         :class:`~repro.cluster.network.Network` attaches its own clock
         so spans capture simulated-latency durations.
+
+    ``registry`` (attached by :class:`~repro.cluster.network.Network`)
+    is the registry whose changes are booked into ``counter_totals``,
+    ``{iteration: {name: total}}`` with ``None`` for setup work.
 
     A recorder is single-threaded, like the simulated cluster that
     drives it: spans nest on one stack and records are stored without
@@ -152,17 +156,20 @@ class TraceRecorder:
         self.enabled = enabled
         self.max_records = max_records
         self.sim_clock = sim_clock
+        self.registry: MetricRegistry | None = None
         self.spans: list[Span] = []
         self.events: list[TraceEvent] = []
-        self.counter_samples: list[tuple[int | None, str, float]] = []
+        self.counter_totals: dict[int | None, dict[str, float]] = {}
         self.dropped = 0
         self._origin = time.perf_counter()
         self._next_id = 0
         self._iteration: int | None = None
         self._stack: list[int] = []
-        # Running count of stored spans + events + counter samples, so
-        # the ``max_records`` check is one comparison per record.
+        # Running count of stored spans + events, so the ``max_records``
+        # check is one comparison per record.
         self._stored = 0
+        # Registry values at the last booking boundary.
+        self._booked: dict[str, float] = {}
 
     # -- recording ------------------------------------------------------
 
@@ -173,13 +180,29 @@ class TraceRecorder:
 
     @contextmanager
     def iteration(self, index: int) -> Iterator[None]:
-        """Tag every span/event/counter recorded inside with ``index``."""
+        """Tag every span/event recorded inside with ``index``; counter
+        changes made inside are booked to ``index`` on exit."""
+        self._book()
         previous = self._iteration
         self._iteration = int(index)
         try:
             yield
         finally:
+            self._book()
             self._iteration = previous
+
+    def _book(self) -> None:
+        """Book the registry's change since the last boundary to the
+        current iteration, one :meth:`counter` call per changed name."""
+        if not self.enabled or self.registry is None:
+            return
+        booked = self._booked
+        for name, value in self.registry.as_dict().items():
+            previous = booked.get(name, 0.0)
+            if value != previous:
+                # A fall means the registry was reset: all of it is new.
+                self.counter(name, value - previous if value > previous else value)
+                booked[name] = value
 
     @contextmanager
     def span(
@@ -252,29 +275,24 @@ class TraceRecorder:
         )
 
     def counter(self, name: str, amount: float = 1.0) -> None:
-        """Record one counter increment tagged with the current iteration.
-
-        Called by :meth:`repro.cluster.profiling.Profiler.increment`;
-        these samples are what :meth:`iteration_costs` aggregates into
-        per-iteration crypto-op counts.
-        """
+        """Add ``amount`` to counter ``name``'s total for the current
+        iteration (what :meth:`iteration_costs` aggregates)."""
         if not self.enabled:
             return
-        if self._stored >= self.max_records:
-            self.dropped += 1
-            return
-        self._stored += 1
-        self.counter_samples.append((self._iteration, name, float(amount)))
+        totals = self.counter_totals.setdefault(self._iteration, {})
+        totals[name] = totals.get(name, 0.0) + float(amount)
 
     def clear(self) -> None:
-        """Drop all recorded spans/events/samples (keeps configuration)."""
+        """Drop all recorded spans/events/totals (keeps configuration);
+        later totals count only what the registry gains after the clear."""
         self.spans.clear()
         self.events.clear()
-        self.counter_samples.clear()
+        self.counter_totals.clear()
         self.dropped = 0
         self._stored = 0
         self._stack.clear()
         self._iteration = None
+        self._booked = {} if self.registry is None else self.registry.as_dict()
 
     # -- aggregation ----------------------------------------------------
 
@@ -283,10 +301,11 @@ class TraceRecorder:
 
         Returns a list of dicts sorted with the setup row (``iteration
         is None``) first, each with keys ``iteration``, ``bytes_by_kind``,
-        ``messages_by_kind``, ``total_bytes``, ``total_messages``,
-        ``crypto_ops`` (counter name -> per-iteration total for
-        ``crypto.*`` counters), ``wall_s`` and ``sim_s`` (durations of
-        the ``twister.round`` spans of that iteration).
+        ``messages_by_kind`` (from the ``network.{bytes,messages}.<kind>``
+        totals), ``total_bytes``, ``total_messages``, ``crypto_ops``
+        (counter name -> per-iteration total for ``crypto.*`` counters),
+        ``wall_s`` and ``sim_s`` (durations of the ``twister.round`` spans
+        of that iteration).
 
         Summing any column across rows reproduces the corresponding
         :class:`~repro.cluster.metrics.MetricRegistry` total — the
@@ -308,22 +327,19 @@ class TraceRecorder:
                 }
             return rows[iteration]
 
-        for event in self.events:
-            if event.name != "network.send":
-                continue
-            entry = row(event.iteration)
-            kind = event.attrs.get("message_kind", "data")
-            size = float(event.attrs.get("size_bytes", 0.0))
-            entry["bytes_by_kind"][kind] = entry["bytes_by_kind"].get(kind, 0.0) + size
-            entry["messages_by_kind"][kind] = entry["messages_by_kind"].get(kind, 0.0) + 1.0
-            entry["total_bytes"] += size
-            entry["total_messages"] += 1.0
-
-        for iteration, name, amount in self.counter_samples:
-            if not name.startswith("crypto."):
-                continue
-            entry = row(iteration)
-            entry["crypto_ops"][name] = entry["crypto_ops"].get(name, 0.0) + amount
+        self._book()
+        for iteration, totals in self.counter_totals.items():
+            for name, amount in totals.items():
+                if name.startswith("network.bytes."):
+                    entry = row(iteration)
+                    entry["bytes_by_kind"][name[len("network.bytes."):]] = amount
+                    entry["total_bytes"] += amount
+                elif name.startswith("network.messages."):
+                    entry = row(iteration)
+                    entry["messages_by_kind"][name[len("network.messages."):]] = amount
+                    entry["total_messages"] += amount
+                elif name.startswith("crypto."):
+                    row(iteration)["crypto_ops"][name] = amount
 
         for span in self.spans:
             if span.name != "twister.round":
@@ -343,24 +359,18 @@ class TraceRecorder:
         """Serialize the trace as JSON Lines, one record per line.
 
         Each line is a JSON object with a ``"type"`` discriminator:
-        ``"span"``, ``"event"``, or ``"counter"``.
+        ``"span"``, ``"event"``, or ``"counter"`` (one iteration's total).
         """
         lines: list[str] = []
         for span in self.spans:
             lines.append(json.dumps({"type": "span", **asdict(span)}, default=str))
         for event in self.events:
             lines.append(json.dumps({"type": "event", **asdict(event)}, default=str))
-        for iteration, name, amount in self.counter_samples:
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "counter",
-                        "iteration": iteration,
-                        "name": name,
-                        "amount": amount,
-                    }
-                )
-            )
+        self._book()
+        for iteration, totals in self.counter_totals.items():
+            for name, amount in totals.items():
+                record = {"type": "counter", "iteration": iteration, "name": name, "amount": amount}
+                lines.append(json.dumps(record))
         return "\n".join(lines)
 
     def to_chrome_trace(self) -> dict[str, Any]:

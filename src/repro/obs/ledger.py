@@ -200,7 +200,7 @@ class RunRecord:
             dataset=dict(getattr(model, "dataset_fingerprint_", None) or {}),
             iterations=iterations,
             setup=setup,
-            counters=dict(profiler.registry.as_dict()),
+            counters=profiler.as_dict(),
             health=health_monitor.summary() if health_monitor is not None else None,
             audit=audit_log.summary() if audit_log is not None else None,
         )

@@ -11,10 +11,10 @@ the bias penalty removes the equality constraint — see DESIGN.md §6).
 
 Solved by Bertsekas' projected Newton method ("Projected Newton methods
 for optimization problems with simple constraints", 1982): fix the
-ε-active set (coordinates within ε of a bound the gradient pushes them
-into), take a Newton step on the free block and a diagonally scaled
-gradient step on the active block, and backtrack along the projection
-arc until the Armijo condition holds.  Once the active set is right one
+ε-active set (coordinates within ε of a bound whose diagonally scaled
+gradient step would cross it), take a Newton step on the free block and
+that diagonal step on the active block, and backtrack along the
+projection arc until the Armijo condition holds.  Once the active set is right one
 Newton step is exact, so warm-started ADMM solves take one or two
 iterations.  The H-lin dual has rank at most features + 1, so the free
 block is often singular: a tiny trace-scaled shift keeps the Newton
@@ -39,6 +39,7 @@ _EPS_MAX = 1e-3  # cap on ε; below it, ε is the KKT residual
 _ARMIJO = 1e-4  # sufficient-decrease fraction
 _MAX_BACKTRACKS = 60
 _SHIFT = 1e-12  # diagonal shift of the free block, relative to its mean diagonal
+_TINY = np.finfo(float).tiny  # smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -84,14 +85,14 @@ def _newton_direction(H_ff: np.ndarray, g_f: np.ndarray) -> np.ndarray:
     """Newton step ``-H_ff^{-1} g_f`` on the free block.
 
     ``H_ff`` is a scratch copy.  Its diagonal is shifted in place by
-    ``_SHIFT`` times its mean (or by ``_SHIFT`` when that mean is not
-    positive), which keeps the solve defined on the rank-deficient blocks
-    the H-lin dual produces.  A block that is still exactly singular
-    falls back to the least-squares step.
+    ``_SHIFT`` times its mean (or by ``_SHIFT`` when that product is not
+    a positive normal float), which keeps the solve defined on the
+    rank-deficient blocks the H-lin dual produces.  A block that is
+    still exactly singular falls back to the least-squares step.
     """
     n = g_f.shape[0]
-    mean_diag = float(H_ff.trace()) / n
-    H_ff.flat[:: n + 1] += _SHIFT * (mean_diag if mean_diag > 0.0 else 1.0)
+    shift = _SHIFT * (float(H_ff.trace()) / n)
+    H_ff.flat[:: n + 1] += shift if shift >= _TINY else _SHIFT
     try:
         return -np.linalg.solve(H_ff, g_f)
     except np.linalg.LinAlgError:
@@ -180,8 +181,10 @@ def solve_box_qp(
 
     while residual > tol and iterations < max_sweeps:
         eps = min(_EPS_MAX, residual)
-        free = ~(((x <= lo + eps) & (grad > 0)) | ((x >= hi - eps) & (grad < 0)))
         p = grad * active_step
+        # Near a bound, a coordinate is held only if its diagonal step crosses
+        # it; otherwise pairs coupled through H zigzag onto the bound.
+        free = ~(((x <= lo + eps) & (x + p < lo)) | ((x >= hi - eps) & (x + p > hi)))
         while free.any():
             p[free] = _newton_direction(H[free][:, free], grad[free])
             # A free coordinate on a bound whose Newton step points out of

@@ -16,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster.hdfs import SimulatedHdfs
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.network import Network
 from repro.cluster.profiling import Profiler
@@ -60,7 +61,7 @@ class TestTraceRecorder:
         assert work.iteration == 3
         assert recorder.events[0].iteration is None
         assert recorder.events[1].iteration == 3
-        assert recorder.counter_samples == [(3, "crypto.masks_generated", 2.0)]
+        assert recorder.counter_totals == {3: {"crypto.masks_generated": 2.0}}
 
     def test_iteration_nesting_restores_previous(self):
         recorder = TraceRecorder()
@@ -92,7 +93,7 @@ class TestTraceRecorder:
         recorder.counter("crypto.masks_generated")
         assert recorder.spans == []
         assert recorder.events == []
-        assert recorder.counter_samples == []
+        assert recorder.counter_totals == {}
         assert recorder.dropped == 0
 
     def test_max_records_drops_and_counts(self):
@@ -113,11 +114,13 @@ class TestTraceRecorder:
                 recorder.event("e")
         recorder.clear()
         assert recorder.spans == [] and recorder.events == []
-        assert recorder.counter_samples == [] and recorder.dropped == 0
+        assert recorder.counter_totals == {} and recorder.dropped == 0
         assert recorder.max_records == 10
 
     def test_clear_resets_the_record_budget(self):
-        recorder = TraceRecorder(max_records=3)
+        # Counter totals are not records: only the span and the event
+        # use up the budget of two.
+        recorder = TraceRecorder(max_records=2)
         with recorder.span("s"):
             recorder.event("e")
             recorder.counter("c")
@@ -130,7 +133,7 @@ class TestTraceRecorder:
         with recorder.span("s2"):
             pass
         assert [e.name for e in recorder.events] == ["after"]
-        assert recorder.counter_samples == [(None, "c", 2.0)]
+        assert recorder.counter_totals == {None: {"c": 2.0}}
         assert [s.name for s in recorder.spans] == ["s2"]
         assert recorder.dropped == 0
         recorder.event("over")
@@ -191,15 +194,19 @@ class TestExporters:
         assert args["vec"] == [1.0, 2.0]
 
     def test_cost_table_setup_row_first(self):
-        recorder = TraceRecorder()
-        recorder.event("network.send", message_kind="mask-seed", size_bytes=8.0)
-        with recorder.iteration(0):
-            recorder.event("network.send", message_kind="mask", size_bytes=64.0)
-        headers, rows = cost_table(recorder.iteration_costs())
+        network = Network()
+        network.register("a")
+        network.register("b")
+        seed = network.send("a", "b", 7, kind="mask-seed")
+        with network.tracer.iteration(0):
+            mask = network.send("a", "b", np.arange(8), kind="mask")
+        headers, rows = cost_table(network.tracer.iteration_costs())
         assert headers[0] == "iteration"
         assert [row[0] for row in rows] == ["setup", "0"]
-        assert rows[0][headers.index("bytes:mask-seed")] == 8.0
-        assert rows[1][headers.index("bytes:mask")] == 64.0
+        assert rows[0][headers.index("bytes:mask-seed")] == seed.size_bytes
+        assert rows[0][headers.index("bytes:mask")] == 0.0
+        assert rows[1][headers.index("bytes:mask")] == mask.size_bytes
+        assert [row[headers.index("messages")] for row in rows] == [1.0, 1.0]
 
 
 class TestProfiler:
@@ -218,12 +225,11 @@ class TestProfiler:
         with profiler.iteration(1):
             profiler.increment("crypto.masks_generated", 5)
         snap = profiler.snapshot()
-        sample_total = sum(
-            amount
-            for _, name, amount in profiler.tracer.counter_samples
-            if name == "crypto.masks_generated"
+        booked = sum(
+            totals.get("crypto.masks_generated", 0.0)
+            for totals in profiler.tracer.counter_totals.values()
         )
-        assert snap["counters"]["crypto.masks_generated"] == sample_total == 7.0
+        assert snap["counters"]["crypto.masks_generated"] == booked == 7.0
         per_iter = {
             row["iteration"]: row["crypto_ops"]["crypto.masks_generated"]
             for row in snap["iterations"]
@@ -238,30 +244,37 @@ class TestProfiler:
         profiler.reset()
         assert profiler.as_dict() == {}
         assert profiler.tracer.spans == []
-        assert profiler.tracer.counter_samples == []
+        assert profiler.tracer.counter_totals == {}
 
     def test_network_defaults_to_profiler_and_wires_tracer(self):
         network = Network()
         assert isinstance(network.metrics, Profiler)
         assert network.tracer is network.metrics.tracer
+        assert network.tracer.registry is network.metrics
         network.register("a")
         network.register("b")
-        network.send("a", "b", b"xxxx", kind="consensus")
-        event = network.tracer.events[0]
-        assert event.name == "network.send"
-        assert event.attrs["message_kind"] == "consensus"
-        assert event.attrs["size_bytes"] == network.bytes_sent()
-        # simulated transfer time is captured on the event
-        assert event.sim_s == pytest.approx(network.simulated_time_s)
+        with network.tracer.iteration(0), network.tracer.span("transfer") as span:
+            network.send("a", "b", b"xxxx", kind="consensus")
+        # sends record no per-message events; the iteration's totals
+        # carry the bytes and the span the simulated transfer time
+        assert network.tracer.events == []
+        totals = network.tracer.counter_totals[0]
+        assert totals["network.bytes.consensus"] == network.bytes_sent() > 0
+        assert totals["network.messages.consensus"] == 1.0
+        assert span.duration_sim_s == pytest.approx(network.simulated_time_s)
 
     def test_network_accepts_bare_registry(self):
         network = Network(metrics=MetricRegistry())
         network.register("a")
         network.register("b")
-        network.send("a", "b", b"xxxx", kind="consensus")
-        # counters work, and the network still owns a tracer of its own
+        with network.tracer.iteration(0):
+            network.send("a", "b", b"xxxx", kind="consensus")
+        # counters work, and the network's own tracer books them per iteration
         assert network.metrics.get("network.messages") == 1.0
-        assert network.tracer.events[0].name == "network.send"
+        assert network.tracer.registry is network.metrics
+        [row] = network.tracer.iteration_costs()
+        assert row["iteration"] == 0
+        assert row["bytes_by_kind"] == {"consensus": network.bytes_sent()}
 
 
 class TestMetricRegistryValidation:
@@ -304,7 +317,9 @@ class TestMetricRegistryValidation:
         profiler = Profiler()
         with pytest.raises(ValueError):
             profiler.increment("")
-        assert profiler.tracer.counter_samples == []
+        assert profiler.as_dict() == {}
+        assert profiler.snapshot()["iterations"] == []
+        assert profiler.tracer.counter_totals == {}
 
 
 @pytest.fixture(scope="module")
@@ -399,27 +414,39 @@ class TestTracedTrainingRun:
         assert sum(r[headers.index("crypto_ops")] for r in rows) == registry_crypto
 
     def test_per_kind_bytes_reconcile(self, traced_run):
-        tracer = traced_run.network_.tracer
+        rows = traced_run.network_.tracer.iteration_costs()
         metrics = traced_run.network_.metrics
         by_kind = {}
-        for event in tracer.events:
-            if event.name != "network.send":
-                continue
-            kind = event.attrs["message_kind"]
-            by_kind[kind] = by_kind.get(kind, 0.0) + event.attrs["size_bytes"]
+        for row in rows:
+            for kind, size in row["bytes_by_kind"].items():
+                by_kind[kind] = by_kind.get(kind, 0.0) + size
+        assert {"broadcast", "mask", "masked-share"} <= set(by_kind)
         for kind, total in by_kind.items():
-            assert total == metrics.get(f"network.bytes.{kind}")
+            assert total == metrics.get(f"network.bytes.{kind}") > 0
 
     def test_raw_data_bytes_derivable_from_trace_alone(self, traced_run):
         """Regression: the privacy headline must be provable from the trace."""
-        tracer = traced_run.network_.tracer
-        raw_from_trace = sum(
-            event.attrs["size_bytes"]
-            for event in tracer.events
-            if event.name == "network.send"
-            and event.attrs["message_kind"] in RAW_DATA_KINDS
-        )
-        assert raw_from_trace == traced_run.raw_data_bytes_moved() == 0.0
+
+        def raw_bytes(rows):
+            return sum(
+                size
+                for row in rows
+                for kind, size in row["bytes_by_kind"].items()
+                if kind in RAW_DATA_KINDS
+            )
+
+        rows = traced_run.network_.tracer.iteration_costs()
+        assert raw_bytes(rows) == traced_run.raw_data_bytes_moved() == 0.0
+        # The same sum sees raw data when it does move: a replicated
+        # public file sends its block over the network.
+        network = Network()
+        hdfs = SimulatedHdfs(network, replication=2)
+        for node in ("n0", "n1"):
+            hdfs.add_datanode(node)
+        hdfs.put("public", [np.arange(16.0)], preferred_nodes=["n0"])
+        replicated = network.bytes_sent("hdfs-replication")
+        assert replicated > 0
+        assert raw_bytes(network.tracer.iteration_costs()) == replicated
 
     def test_no_records_dropped(self, traced_run):
         assert traced_run.network_.tracer.dropped == 0

@@ -155,6 +155,100 @@ class TestKnapsackProperties:
         np.testing.assert_allclose(base.x, scaled.x, atol=1e-6)
 
 
+def bisection_knapsack(a, d, c, r, lo, hi):
+    """Reference solve by bracketing + bisection on the multiplier."""
+
+    def x_of(nu):
+        return np.clip((-d - nu * c) / a, lo, hi)
+
+    def phi(nu):
+        return float(c @ x_of(nu)) - r
+
+    nu_lo, nu_hi = -1.0, 1.0
+    for _ in range(200):
+        if phi(nu_lo) >= 0.0:
+            break
+        nu_lo *= 2.0
+    for _ in range(200):
+        if phi(nu_hi) <= 0.0:
+            break
+        nu_hi *= 2.0
+    for _ in range(200):
+        nu = 0.5 * (nu_lo + nu_hi)
+        if phi(nu) > 0.0:
+            nu_lo = nu
+        else:
+            nu_hi = nu
+    return x_of(0.5 * (nu_lo + nu_hi))
+
+
+@st.composite
+def general_knapsack_problems(draw):
+    """Mixed-sign and zero ``c``, a negative or zero ``lower``, a finite
+    or infinite ``upper``, and ``r`` anywhere in the feasible range,
+    either end included (``end`` names which, if any)."""
+    n = draw(st.integers(1, 12))
+    a = draw(hnp.arrays(float, (n,), elements=st.floats(0.1, 10.0)))
+    d = draw(hnp.arrays(float, (n,), elements=st.floats(-10.0, 10.0)))
+    c = draw(
+        hnp.arrays(float, (n,), elements=st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]))
+    )
+    lower = draw(st.floats(-5.0, 0.0))
+    upper = draw(st.one_of(st.just(np.inf), st.floats(0.5, 5.0)))
+    end = draw(st.sampled_from(["low", "high", "inside"]))
+    fraction = draw(st.floats(0.0, 1.0))
+
+    def reach(coefs, bound):  # 0 * inf would be nan, so empty sides add 0
+        return float(np.sum(coefs) * bound) if coefs.size else 0.0
+
+    max_sum = reach(c[c > 0], upper) + reach(c[c < 0], lower)
+    min_sum = reach(c[c > 0], lower) + reach(c[c < 0], upper)
+    if end == "low" and np.isfinite(min_sum):
+        return a, d, c, min_sum, lower, upper, end
+    if end == "high" and np.isfinite(max_sum):
+        return a, d, c, max_sum, lower, upper, end
+    if np.isfinite(min_sum) and np.isfinite(max_sum):
+        r = min_sum + fraction * (max_sum - min_sum)
+    elif np.isfinite(min_sum):
+        r = min_sum + 10.0 * fraction
+    elif np.isfinite(max_sum):
+        r = max_sum - 10.0 * fraction
+    else:
+        r = 20.0 * fraction - 10.0
+    return a, d, c, r, lower, upper, "inside"
+
+
+class TestKnapsackExactSolve:
+    @given(general_knapsack_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection_reference_and_kkt(self, problem):
+        a, d, c, r, lower, upper, end = problem
+        n = a.shape[0]
+        lo, hi = np.full(n, lower), np.full(n, upper)
+        result = solve_quadratic_knapsack(a, d, c, r, lower, upper)
+        x, nu = result.x, result.nu
+
+        assert np.all(lo <= x) and np.all(x <= hi)
+        scale = max(1.0, abs(r), float(np.sum(np.abs(c * x))))
+        assert result.constraint_residual <= 1e-9 * scale
+        assert result.iterations <= int(np.ceil(np.log2(2 * n))) + 1
+
+        reference = bisection_knapsack(a, d, c, r, lo, hi)
+        np.testing.assert_allclose(x, reference, atol=1e-7 * scale)
+
+        interior = (x > lo + 1e-9) & (x < hi - 1e-9)
+        stationarity = a * x + d + nu * c
+        tolerance = 1e-9 * (1.0 + np.abs(d) + np.abs(nu * c))
+        assert np.all(np.abs(stationarity[interior]) <= tolerance[interior])
+
+        # At either end of the range every moving coordinate is pinned.
+        pinned = {"low": (lo, hi), "high": (hi, lo)}.get(end)
+        if pinned is not None:
+            at_positive, at_negative = pinned
+            np.testing.assert_allclose(x[c > 0], at_positive[c > 0], atol=1e-9 * scale)
+            np.testing.assert_allclose(x[c < 0], at_negative[c < 0], atol=1e-9 * scale)
+
+
 @st.composite
 def svm_datasets(draw):
     n = draw(st.integers(6, 24))

@@ -52,6 +52,22 @@ class TestSolveBoxQP:
         result = solve_box_qp(H, d, 0.0, 4.0)
         assert result.x[1] == pytest.approx(4.0)
 
+    def test_subnormal_hessian_steps_like_a_zero_one(self):
+        # 1 / 5e-324 overflows; the solver must still take a finite step.
+        H = np.full((2, 2), 5e-324)
+        result = solve_box_qp(H, np.ones(2), 0.0, 10.0, x0=np.ones(2))
+        assert result.converged
+        np.testing.assert_array_equal(result.x, [0.0, 0.0])
+
+    def test_degenerate_coupled_pair_near_a_bound_converges(self):
+        # The minimizer is x = 0 with zero gradient there.  Holding the
+        # coordinate with g > 0 on a short diagonal step made the pair
+        # zigzag towards 0 and run out its 500-sweep budget.
+        H = np.array([[9.25, -15.0], [-15.0, 25.0]])
+        result = solve_box_qp(H, np.zeros(2), 0.0, 0.5, x0=np.array([1e-3, 5e-4]))
+        assert result.converged and result.iterations <= 2
+        np.testing.assert_allclose(result.x, 0.0, atol=1e-12)
+
     def test_matches_brute_force_on_small_grid(self, rng):
         H = random_psd(rng, 2) + np.eye(2)
         d = rng.normal(size=2)

@@ -20,6 +20,11 @@ The secure-sum and codec rows run at two ring widths: 64 bits, the
 one-word ring the trainer uses at its defaults
 (``fixed_point.ring_bits``), and 128 bits, the codec default and the
 multi-limb path.
+
+The ``inprocess.*`` rows time one whole fit of each in-process trainer
+(M = 8 learners, 600 standardized OCR-like rows, 64 features, 30
+rounds; smaller under ``--smoke``).  Their ``cpu_s`` is the median
+process CPU time of several fits, ``wall_s`` the median wall time.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -34,11 +40,20 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.network import Network
-from repro.core.partitioning import horizontal_partition
+from repro.core import (
+    HorizontalKernelSVM,
+    HorizontalLinearSVM,
+    HorizontalLogisticRegression,
+    VerticalKernelSVM,
+    VerticalLinearSVM,
+    horizontal_partition,
+    vertical_partition,
+)
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
-from repro.data.synthetic import make_linear_task
+from repro.data import StandardScaler, train_test_split
+from repro.data.synthetic import make_linear_task, make_ocr_like
 from repro.svm.knapsack import solve_quadratic_knapsack
 from repro.svm.qp import solve_box_qp
 
@@ -223,6 +238,35 @@ def bench_network_send(results: list[dict], *, smoke: bool) -> None:
     _record(results, "network.send_receive", {"words": 600, "modulus_bits": 64}, wall, size)
 
 
+def bench_inprocess_fits(results: list[dict], *, smoke: bool) -> None:
+    """One whole fit per in-process trainer, at ``perfbench``'s full size."""
+    print("in-process fits:")
+    rows, learners, rounds = (120, 4, 5) if smoke else (600, 8, 30)
+    train, _ = train_test_split(make_ocr_like(2 * rows, seed=11), 0.5, seed=1)
+    train = StandardScaler().fit(train.X).transform_dataset(train)
+    parts = horizontal_partition(train, learners, seed=1)
+    partition = vertical_partition(train, learners, seed=1)
+    trainers = [
+        (HorizontalLinearSVM, parts),
+        (HorizontalKernelSVM, parts),
+        (VerticalLinearSVM, partition),
+        (VerticalKernelSVM, partition),
+        (HorizontalLogisticRegression, parts),
+    ]
+    repeats = 3 if smoke else 11
+    params = {"learners": learners, "rows": rows, "features": train.n_features, "rounds": rounds}
+    for trainer, data in trainers:
+        walls, cpus = [], []
+        for _ in range(repeats):
+            model = trainer(max_iter=rounds)
+            start, start_cpu = time.perf_counter(), time.process_time()
+            model.fit(data)
+            walls.append(time.perf_counter() - start)
+            cpus.append(time.process_time() - start_cpu)
+        entry = _record(results, f"inprocess.{trainer.__name__}", params, statistics.median(walls))
+        entry["cpu_s"] = statistics.median(cpus)
+
+
 def bench_end_to_end(
     results: list[dict], *, smoke: bool, ledger_dir: Path | None = None
 ) -> None:
@@ -330,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_box_qp(results, smoke=args.smoke)
     bench_reducer_knapsack(results, smoke=args.smoke)
     bench_network_send(results, smoke=args.smoke)
+    bench_inprocess_fits(results, smoke=args.smoke)
     bench_end_to_end(results, smoke=args.smoke, ledger_dir=args.ledger)
 
     args.out.write_text(json.dumps(results, indent=1) + "\n")

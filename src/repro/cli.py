@@ -209,13 +209,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
             print("--save supports the horizontal linear consensus model only",
                   file=sys.stderr)
             return 2
-        from repro.core.horizontal_linear import HorizontalLinearSVM
         from repro.persistence import save_model
 
-        exportable = HorizontalLinearSVM(C=args.C, rho=args.rho)
-        exportable.consensus_weights_ = model._reducer.z
-        exportable.consensus_bias_ = model._reducer.s
-        save_model(exportable, args.save)
+        # The cluster fit publishes its consensus on an in-process
+        # HorizontalLinearSVM, which is what gets saved.
+        save_model(model._variant, args.save)
         print(f"consensus model written to {args.save}")
     return 0
 

@@ -45,7 +45,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, ContextManager, Iterator
 
 from repro.cluster.metrics import MetricRegistry
 
@@ -119,6 +119,29 @@ class TraceEvent:
     attrs: dict[str, Any] = field(default_factory=dict)
 
 
+class _NullSpan:
+    """What a disabled recorder's :meth:`TraceRecorder.span` yields.
+
+    ``attrs`` is a fresh dict on every access, so whatever a caller sets
+    on it is dropped; one shared instance therefore serves every span.
+    """
+
+    __slots__ = ()
+
+    @property
+    def attrs(self) -> dict[str, Any]:
+        return {}
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
+
+
 class TraceRecorder:
     """Records spans, events, and per-iteration counter totals for one run.
 
@@ -178,10 +201,16 @@ class TraceRecorder:
         """Iteration tag applied to new records (``None`` = setup)."""
         return self._iteration
 
-    @contextmanager
-    def iteration(self, index: int) -> Iterator[None]:
+    def iteration(self, index: int) -> ContextManager[Any]:
         """Tag every span/event recorded inside with ``index``; counter
-        changes made inside are booked to ``index`` on exit."""
+        changes made inside are booked to ``index`` on exit.  A disabled
+        recorder does neither."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return self._iteration_scope(index)
+
+    @contextmanager
+    def _iteration_scope(self, index: int) -> Iterator[None]:
         self._book()
         previous = self._iteration
         self._iteration = int(index)
@@ -194,7 +223,7 @@ class TraceRecorder:
     def _book(self) -> None:
         """Book the registry's change since the last boundary to the
         current iteration, one :meth:`counter` call per changed name."""
-        if not self.enabled or self.registry is None:
+        if self.registry is None:
             return
         booked = self._booked
         for name, value in self.registry.as_dict().items():
@@ -204,7 +233,6 @@ class TraceRecorder:
                 self.counter(name, value - previous if value > previous else value)
                 booked[name] = value
 
-    @contextmanager
     def span(
         self,
         name: str,
@@ -213,9 +241,21 @@ class TraceRecorder:
         node: str | None = None,
         iteration: int | None = None,
         **attrs: Any,
-    ) -> Iterator[Span]:
+    ) -> ContextManager[Any]:
         """Open a span; yields the mutable :class:`Span` so callers can
-        attach result attributes (e.g. residuals) before it closes."""
+        attach result attributes (e.g. residuals) before it closes.
+
+        A disabled recorder yields a bare handle with an ``attrs`` dict
+        instead, without reading the clock or touching the span stack.
+        """
+        if not self.enabled:
+            return _NULL_SPAN
+        return self._span(name, kind, node, iteration, attrs)
+
+    @contextmanager
+    def _span(
+        self, name: str, kind: str, node: str | None, iteration: int | None, attrs: dict[str, Any]
+    ) -> Iterator[Span]:
         stack = self._stack
         record = Span(
             span_id=self._next_id,
@@ -239,12 +279,11 @@ class TraceRecorder:
             )
             if record.start_sim_s is not None and self.sim_clock is not None:
                 record.duration_sim_s = self.sim_clock() - record.start_sim_s
-            if self.enabled:
-                if self._stored < self.max_records:
-                    self._stored += 1
-                    self.spans.append(record)
-                else:
-                    self.dropped += 1
+            if self._stored < self.max_records:
+                self._stored += 1
+                self.spans.append(record)
+            else:
+                self.dropped += 1
 
     def event(
         self,

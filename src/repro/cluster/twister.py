@@ -17,6 +17,13 @@ The aggregation step is pluggable (:class:`Aggregator`): the trainers in
 protocol from :mod:`repro.crypto.secure_sum`, while benchmarks can swap
 in :class:`PlaintextAggregator` to measure the cost of privacy.
 
+:meth:`IterativeMapReduceDriver.run` is the one ADMM round loop in the
+library.  Its :class:`Transport` decides where the rounds run: the
+:class:`ClusterTransport` reads partitions from HDFS and moves the state
+and the outputs over the simulated network, while the
+:class:`InMemoryTransport` (the in-process trainers) hands both over by
+reference and records no trace.
+
 Observability: every round the driver emits one ``twister.round`` span
 enclosing ``twister.broadcast``, ``twister.map_wave``,
 ``twister.aggregate``, and ``twister.reduce`` child spans, all tagged
@@ -35,10 +42,14 @@ import numpy as np
 
 from repro.cluster.hdfs import SimulatedHdfs
 from repro.cluster.network import Network
+from repro.cluster.profiling import Profiler
 from repro.cluster.scheduler import LocalityScheduler
+from repro.cluster.tracing import TraceRecorder
 
 __all__ = [
     "Aggregator",
+    "ClusterTransport",
+    "InMemoryTransport",
     "IterationResult",
     "IterativeMapReduceDriver",
     "IterativeMapper",
@@ -46,6 +57,7 @@ __all__ = [
     "MapperContext",
     "PlaintextAggregator",
     "ReducerContext",
+    "Transport",
 ]
 
 
@@ -186,65 +198,143 @@ class IterationResult:
     bytes_delta: float
 
 
+Outputs = dict[str, dict[str, np.ndarray]]
+
+
+class Transport(abc.ABC):
+    """Where the map tasks' partitions live and how the state and the
+    outputs travel.  ``network`` carries the run's tracer and counters."""
+
+    network: Network
+
+    @abc.abstractmethod
+    def tasks(self, source: Any) -> list[tuple[str, str, Any]]:
+        """``(task key, node id, partition)`` per map task, in block order."""
+
+    @abc.abstractmethod
+    def broadcast(self, src: str, nodes: list[str], state: Any) -> dict[str, Any]:
+        """Each node's copy of ``state``."""
+
+    @abc.abstractmethod
+    def aggregate(self, outputs: Outputs, reducer_id: str) -> dict[str, np.ndarray]:
+        """The reducer's key-wise sums of ``outputs[node]``."""
+
+
+class ClusterTransport(Transport):
+    """``source`` names an HDFS file whose blocks are read data-locally;
+    the state is a network broadcast and the outputs go through
+    ``aggregator`` (the secure sum, in the paper)."""
+
+    def __init__(self, hdfs: SimulatedHdfs, aggregator: Aggregator) -> None:
+        self.hdfs = hdfs
+        self.aggregator = aggregator
+        self.network = hdfs.network
+
+    def tasks(self, source: str) -> list[tuple[str, str, Any]]:
+        """One task per block, placed by the :class:`LocalityScheduler`."""
+        hdfs = self.hdfs
+        return [
+            (f"{t.node_id}/{t.block_index}", t.node_id, hdfs.read_block(t.node_id, source, t.block_index))
+            for t in LocalityScheduler(hdfs).assign(source)
+        ]
+
+    def broadcast(self, src: str, nodes: list[str], state: Any) -> dict[str, Any]:
+        """One ``broadcast`` message per node; mappers act on the received copy."""
+        self.network.broadcast(src, nodes, state, kind="broadcast")
+        return {node: self.network.receive(node, kind="broadcast") for node in nodes}
+
+    def aggregate(self, outputs: Outputs, reducer_id: str) -> dict[str, np.ndarray]:
+        """Whatever ``aggregator`` sends."""
+        return self.aggregator.aggregate(outputs, reducer_id, self.network)
+
+
+class InMemoryTransport(Transport):
+    """``source`` is the list of partitions, mappers read the state by
+    reference, outputs are summed in NumPy, and the tracer is off;
+    ``network`` keeps the counters and is never sent on."""
+
+    def __init__(self) -> None:
+        self.network = Network(Profiler(TraceRecorder(enabled=False)), keep_log=False)
+
+    def tasks(self, source: list[Any]) -> list[tuple[str, str, Any]]:
+        """Task ``m`` runs partition ``m`` on node ``learner-m``."""
+        return [(f"learner-{m}", f"learner-{m}", part) for m, part in enumerate(source)]
+
+    def broadcast(self, src: str, nodes: list[str], state: Any) -> dict[str, Any]:
+        """The reducer's state object itself, for every node."""
+        return dict.fromkeys(nodes, state)
+
+    def aggregate(self, outputs: Outputs, reducer_id: str) -> dict[str, np.ndarray]:
+        """Key-wise sums in node order; the outputs themselves stay untouched."""
+        first, *rest = outputs.values()
+        sums = {key: np.array(value, dtype=float) for key, value in first.items()}
+        for named in rest:
+            for key, value in named.items():
+                sums[key] += value
+        return sums
+
+
 @dataclass
 class IterativeMapReduceDriver:
     """Orchestrates configure-once / iterate-many MapReduce rounds.
 
     Parameters
     ----------
-    hdfs:
-        File system holding the (private) input partitions.
+    transport:
+        Where the rounds run: a :class:`ClusterTransport` or an
+        :class:`InMemoryTransport`.
     mapper_factory:
         Zero-argument callable creating a fresh :class:`IterativeMapper`
         per partition.
     reducer:
         The consensus reducer.
-    aggregator:
-        Map-output transport strategy (secure sum in the paper's scheme).
     reducer_node:
         Node id for the reducer (registered automatically).
     on_round:
         Optional callback invoked with each :class:`IterationResult`
         right after it is appended to :attr:`history` (while the round's
-        metrics are fresh) — the hook the trainer uses to stream results
-        into a :class:`~repro.obs.health.HealthMonitor`.  Exceptions
-        propagate and abort the run.
+        metrics are fresh) — the hook the trainers use to stream results
+        into a :class:`~repro.obs.health.HealthMonitor` or to score an
+        eval set.  Exceptions propagate and abort the run.
+    participation, rng:
+        Fraction of the map tasks that run a fresh ``map`` each round
+        after the first, drawn with ``rng``; the others resend their
+        last output.  1.0 (the default) runs every task every round.
     """
 
-    hdfs: SimulatedHdfs
+    transport: Transport
     mapper_factory: Callable[[], IterativeMapper]
     reducer: IterativeReducer
-    aggregator: Aggregator
     reducer_node: str = "reducer"
     on_round: Callable[[IterationResult], None] | None = None
+    participation: float = 1.0
+    rng: np.random.Generator | None = None
     history: list[IterationResult] = field(default_factory=list)
     _mappers: dict[str, IterativeMapper] = field(default_factory=dict)
     _contexts: dict[str, MapperContext] = field(default_factory=dict)
 
     def mappers(self) -> list[IterativeMapper]:
-        """The configured mappers, in sorted task-key order.
+        """The configured mappers, in block order.
 
         Public accessor for callers (trainers, diagnostics) that need
         the per-partition learner state after :meth:`setup` — stable
         ordering, no reliance on the private task table.
         """
-        return [self._mappers[key] for key in sorted(self._mappers)]
+        return list(self._mappers.values())
 
-    def setup(self, input_file: str) -> None:
-        """Instantiate and configure one mapper per block, data-locally."""
-        network = self.hdfs.network
+    def setup(self, source: Any) -> None:
+        """Instantiate and configure one mapper per partition of ``source``
+        (an HDFS file name or an in-memory list, per the transport)."""
+        network = self.transport.network
         network.register(self.reducer_node)
-        scheduler = LocalityScheduler(self.hdfs)
-        for task in scheduler.assign(input_file):
-            partition = self.hdfs.read_block(task.node_id, input_file, task.block_index)
-            context = MapperContext(node_id=task.node_id, network=network)
+        for key, node_id, partition in self.transport.tasks(source):
+            context = MapperContext(node_id=node_id, network=network)
             mapper = self.mapper_factory()
             mapper.configure(partition, context)
-            key = f"{task.node_id}/{task.block_index}"
             self._mappers[key] = mapper
             self._contexts[key] = context
 
-    def run(self, input_file: str, *, max_iterations: int = 100) -> list[IterationResult]:
+    def run(self, source: Any, *, max_iterations: int = 100) -> list[IterationResult]:
         """Execute up to ``max_iterations`` map→aggregate→reduce rounds.
 
         The reducer's state is broadcast to all mappers at the start of
@@ -258,64 +348,64 @@ class IterativeMapReduceDriver:
         """
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+        rng = self.rng
+        if self.participation < 1.0 and rng is None:
+            raise ValueError("partial participation needs an rng to draw with")
         if not self._mappers:
-            self.setup(input_file)
-        network = self.hdfs.network
+            self.setup(source)
+        transport = self.transport
+        network = transport.network
+        tracer = network.tracer
         reducer_context = ReducerContext(node_id=self.reducer_node, network=network)
         state = self.reducer.initial_state()
         self.history = []
+        tasks = [
+            (key, mapper, self._contexts[key], self._contexts[key].node_id)
+            for key, mapper in self._mappers.items()
+        ]
+        keys = list(self._mappers)
+        everyone = frozenset(keys)
+        n_fresh = max(1, int(round(self.participation * len(keys))))
+        mapper_nodes = sorted({node for _, _, _, node in tasks})
+        last: dict[str, dict[str, np.ndarray]] = {}
 
-        tracer = network.tracer
         for iteration in range(max_iterations):
             start_bytes = network.bytes_sent()
             start_time = time.perf_counter()
+            fresh = everyone
+            if rng is not None and self.participation < 1.0 and iteration > 0:
+                drawn = rng.choice(len(keys), size=n_fresh, replace=False)
+                fresh = {keys[index] for index in drawn.tolist()}
 
             with tracer.iteration(iteration), tracer.span(
                 "twister.round", kind="round", node=self.reducer_node
             ) as round_span:
-                # Feedback channel: reducer -> every mapper node.  Mappers
-                # act on the *received* copy (serialization isolation), not
-                # on a shared reference to the reducer's state.
-                mapper_nodes = sorted({ctx.node_id for ctx in self._contexts.values()})
                 with tracer.span(
                     "twister.broadcast", kind="broadcast", node=self.reducer_node
                 ):
-                    network.broadcast(
-                        self.reducer_node, mapper_nodes, state, kind="broadcast"
-                    )
-                    node_state = {
-                        node: network.receive(node, kind="broadcast")
-                        for node in mapper_nodes
-                    }
+                    node_state = transport.broadcast(self.reducer_node, mapper_nodes, state)
 
                 # Node-side combining: if a node hosts several map tasks
                 # their outputs are summed locally before transport (Hadoop
                 # combiner semantics — no extra network traffic, no extra
                 # leakage).
                 outputs: dict[str, dict[str, np.ndarray]] = {}
-                with tracer.span(
-                    "twister.map_wave", kind="map", n_mappers=len(self._mappers)
-                ):
-                    for key, mapper in self._mappers.items():
-                        context = self._contexts[key]
-                        context.iteration = iteration
-                        named = mapper.map(node_state[context.node_id], context)
-                        node_out = outputs.setdefault(context.node_id, {})
-                        for out_key, value in named.items():
-                            value = np.asarray(value, dtype=float)
-                            if out_key in node_out:
-                                node_out[out_key] = node_out[out_key] + value
-                            else:
-                                node_out[out_key] = value
+                with tracer.span("twister.map_wave", kind="map", n_mappers=len(tasks)):
+                    for key, mapper, context, node in tasks:
+                        if key in fresh:
+                            context.iteration = iteration
+                            last[key] = mapper.map(node_state[node], context)
+                        named = last[key]
+                        if node in outputs:
+                            named = {k: outputs[node][k] + value for k, value in named.items()}
+                        outputs[node] = named
 
                 with tracer.span("twister.aggregate", kind="aggregate"):
-                    sums = self.aggregator.aggregate(outputs, self.reducer_node, network)
+                    sums = transport.aggregate(outputs, self.reducer_node)
 
                 reducer_context.iteration = iteration
                 with tracer.span("twister.reduce", kind="reduce", node=self.reducer_node):
-                    state, converged = self.reducer.reduce(
-                        sums, len(self._mappers), reducer_context
-                    )
+                    state, converged = self.reducer.reduce(sums, len(tasks), reducer_context)
                 network.metrics.increment("twister.iterations", 1)
                 round_span.attrs["converged"] = converged
                 round_span.attrs["bytes_delta"] = network.bytes_sent() - start_bytes

@@ -1,14 +1,22 @@
 """The paper's primary contribution: privacy-preserving consensus SVMs.
 
-Four algorithm variants (Section IV), each available two ways:
+Four algorithm variants (Section IV), plus consensus logistic
+regression, all trained by one ADMM round — broadcast, one local step
+per learner, sum, reduce — in
+:meth:`~repro.cluster.twister.IterativeMapReduceDriver.run`, with the
+Map() and Reduce() tasks of :mod:`repro.core.mapreduce_svm`.  Each SVM
+variant runs over either of two transports:
 
-* an **in-process trainer** (:class:`HorizontalLinearSVM`,
+* **in memory** (:class:`HorizontalLinearSVM`,
   :class:`HorizontalKernelSVM`, :class:`VerticalLinearSVM`,
-  :class:`VerticalKernelSVM`) that runs the pure ADMM mathematics —
-  used by unit tests, ablations, and the Fig. 4 accuracy series;
-* the **full system** (:class:`PrivacyPreservingSVM`) that executes the
-  same worker code on the simulated Hadoop/Twister cluster with the
-  coalition-resistant secure summation protocol at the Reducer.
+  :class:`VerticalKernelSVM`, :class:`HorizontalLogisticRegression`):
+  state and outputs are passed by reference and summed in NumPy, with
+  no trace — used by unit tests, ablations, and the Fig. 4 accuracy
+  series;
+* on the **simulated Hadoop/Twister cluster**
+  (:class:`PrivacyPreservingSVM`), with data-local HDFS partitions and
+  the coalition-resistant secure summation protocol at the Reducer;
+  it predicts through the in-process variant's own path.
 """
 
 from repro.core.feature_selection import (

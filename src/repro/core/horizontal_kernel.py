@@ -34,20 +34,20 @@ which is what lets the consensus image be exchanged at all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingHistory
+from repro.core.mapreduce_svm import (
+    ConsensusModel,
+    HorizontalConsensusReducer,
+    check_horizontal_partitions,
+)
 from repro.data.dataset import Dataset
 from repro.svm.kernels import Kernel, RBFKernel
-from repro.svm.model import accuracy
 from repro.svm.qp import BoxQPResult, solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
 
 __all__ = ["HorizontalKernelSVM", "HorizontalKernelWorker", "sample_landmarks"]
 
@@ -203,7 +203,7 @@ class HorizontalKernelWorker:
         return self.kernel(X, self.X) @ a + self.kernel(X, self.landmarks) @ c + b
 
 
-class HorizontalKernelSVM:
+class HorizontalKernelSVM(ConsensusModel):
     """In-process trainer for the kernel horizontal scheme.
 
     Parameters
@@ -239,38 +239,36 @@ class HorizontalKernelSVM:
         qp_tol: float = 1e-8,
         qp_max_sweeps: int = 500,
     ) -> None:
+        super().__init__(max_iter=max_iter, tol=tol)
         self.kernel = kernel if kernel is not None else RBFKernel(gamma=0.5)
         self.C = check_positive(C, "C")
         self.rho = check_positive(rho, "rho")
         self.n_landmarks = int(n_landmarks)
         self.landmark_scale = check_positive(landmark_scale, "landmark_scale")
         self._given_landmarks = landmarks
-        self.max_iter = int(max_iter)
-        self.tol = tol
         self.eval_learner = int(eval_learner)
         self.seed = seed
         self.qp_tol = qp_tol
         self.qp_max_sweeps = qp_max_sweeps
-        self.workers_: list[HorizontalKernelWorker] = []
         self.landmarks_: np.ndarray | None = None
         self.consensus_: np.ndarray | None = None
         self.consensus_bias_: float = 0.0
-        self.history_ = TrainingHistory()
 
     def fit(
-        self,
-        partitions: list[Dataset],
-        *,
-        eval_set: Dataset | None = None,
-        health_monitor: "HealthMonitor | None" = None,
+        self, partitions: list[Dataset], *, eval_set: Dataset | None = None
     ) -> "HorizontalKernelSVM":
         """Train from per-learner datasets; see :class:`HorizontalLinearSVM`."""
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
+        eval_rows = () if eval_set is None else (eval_set.X, eval_set.y)
+        return self._fit(partitions, *eval_rows)
 
+    def _prepare(
+        self, partitions: list[Dataset]
+    ) -> tuple[list[dict[str, Any]], HorizontalConsensusReducer]:
+        n_features = check_horizontal_partitions(partitions)
+        if not 0 <= self.eval_learner < len(partitions):
+            raise ValueError(
+                f"eval_learner {self.eval_learner} out of range for {len(partitions)} learners"
+            )
         if self._given_landmarks is not None:
             landmarks = check_matrix(self._given_landmarks, "landmarks")
         else:
@@ -278,72 +276,24 @@ class HorizontalKernelSVM:
                 self.n_landmarks, n_features, scale=self.landmark_scale, seed=self.seed
             )
         self.landmarks_ = landmarks
+        common = dict(
+            worker=HorizontalKernelWorker,
+            landmarks=landmarks,
+            kernel=self.kernel,
+            C=self.C,
+            rho=self.rho,
+            n_learners=len(partitions),
+            qp_tol=self.qp_tol,
+            qp_max_sweeps=self.qp_max_sweeps,
+        )
+        payloads = [dict(common, X=p.X, y=p.y) for p in partitions]
+        return payloads, HorizontalConsensusReducer(landmarks.shape[0], tol=self.tol)
 
-        n_learners = len(partitions)
-        self.workers_ = [
-            HorizontalKernelWorker(
-                p.X,
-                p.y,
-                landmarks,
-                kernel=self.kernel,
-                C=self.C,
-                rho=self.rho,
-                n_learners=n_learners,
-                qp_tol=self.qp_tol,
-                qp_max_sweeps=self.qp_max_sweeps,
-            )
-            for p in partitions
-        ]
-        if not 0 <= self.eval_learner < n_learners:
-            raise ValueError(f"eval_learner {self.eval_learner} out of range")
+    def _publish(self, workers: list[Any], reducer: Any) -> None:
+        super()._publish(workers, reducer)
+        self.consensus_, self.consensus_bias_ = reducer.z, reducer.s
 
-        z = np.zeros(landmarks.shape[0])
-        s = 0.0
-        self.history_ = TrainingHistory()
-
-        for iteration in range(self.max_iter):
-            z_sum = np.zeros_like(z)
-            b_sum = 0.0
-            for worker in self.workers_:
-                out = worker.step(z, s)
-                z_sum += out["z_contrib"]
-                b_sum += float(out["s_contrib"][0])
-            z_new = z_sum / n_learners
-            s_new = b_sum / n_learners
-
-            z_change = float(np.sum((z_new - z) ** 2) + (s_new - s) ** 2)
-            mean_gw = np.mean([worker.gw for worker in self.workers_], axis=0)
-            primal = float(np.linalg.norm(mean_gw - z_new))
-            z, s = z_new, s_new
-
-            acc = float("nan")
-            if eval_set is not None:
-                scores = self.workers_[self.eval_learner].local_decision_function(eval_set.X)
-                preds = np.where(scores >= 0, 1.0, -1.0)
-                acc = accuracy(eval_set.y, preds)
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
-
-        self.consensus_ = z
-        self.consensus_bias_ = s
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         """Scores under the ``eval_learner``'s local model.
 
         The consensus lives in the reduced landmark space; actual
@@ -353,11 +303,3 @@ class HorizontalKernelSVM:
         if not self.workers_:
             raise RuntimeError("model must be fit before use")
         return self.workers_[self.eval_learner].local_decision_function(X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))

@@ -31,19 +31,19 @@ previous ``lambda`` — this is what makes per-iteration Map() cheap.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingHistory
+from repro.core.mapreduce_svm import (
+    ConsensusModel,
+    HorizontalConsensusReducer,
+    check_horizontal_partitions,
+)
 from repro.data.dataset import Dataset
-from repro.svm.model import accuracy
 from repro.svm.qp import BoxQPResult, solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
 
 __all__ = ["HorizontalLinearSVM", "HorizontalLinearWorker"]
 
@@ -105,7 +105,6 @@ class HorizontalLinearWorker:
         self.gamma = np.zeros(k)
         self.beta = 0.0
         self._started = False
-        self.last_output: dict[str, np.ndarray] | None = None
         self.last_qp: BoxQPResult | None = None
 
     @property
@@ -147,11 +146,10 @@ class HorizontalLinearWorker:
 
         self.w = (self.rho * u + (self._lambda * self.y) @ self.X) / self._a
         self.b = t + float(self.y @ self._lambda) / self.rho
-        self.last_output = {
+        return {
             "z_contrib": self.w + self.gamma,
             "s_contrib": np.array([self.b + self.beta]),
         }
-        return self.last_output
 
     def local_decision_function(self, X: np.ndarray) -> np.ndarray:
         """Scores under this learner's *local* model ``(w_m, b_m)``."""
@@ -159,13 +157,13 @@ class HorizontalLinearWorker:
         return X @ self.w + self.b
 
 
-class HorizontalLinearSVM:
+class HorizontalLinearSVM(ConsensusModel):
     """In-process trainer for the linear horizontal scheme.
 
-    Runs the full ADMM loop over a list of local partitions without the
-    cluster machinery (useful for unit tests, ablations, and as the
-    numerical reference for the MapReduce trainer, which reuses
-    :class:`HorizontalLinearWorker` verbatim).
+    Runs the ADMM rounds over a list of local partitions in memory (for
+    unit tests, ablations, and as the numerical reference for
+    :class:`~repro.core.trainer.PrivacyPreservingSVM`, which runs the
+    same workers and reducer on the simulated cluster).
 
     Parameters
     ----------
@@ -196,125 +194,52 @@ class HorizontalLinearSVM:
         qp_tol: float = 1e-8,
         qp_max_sweeps: int = 500,
     ) -> None:
+        super().__init__(max_iter=max_iter, tol=tol)
         self.C = check_positive(C, "C")
         self.rho = check_positive(rho, "rho")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         if not 0.0 < participation <= 1.0:
             raise ValueError(f"participation must be in (0, 1], got {participation}")
-        self.max_iter = int(max_iter)
-        self.tol = tol
         self.participation = float(participation)
         self.seed = seed
         self.qp_tol = qp_tol
         self.qp_max_sweeps = qp_max_sweeps
-        self.workers_: list[HorizontalLinearWorker] = []
         self.consensus_weights_: np.ndarray | None = None
         self.consensus_bias_: float = 0.0
-        self.history_ = TrainingHistory()
 
     def fit(
-        self,
-        partitions: list[Dataset],
-        *,
-        eval_set: Dataset | None = None,
-        health_monitor: "HealthMonitor | None" = None,
+        self, partitions: list[Dataset], *, eval_set: Dataset | None = None
     ) -> "HorizontalLinearSVM":
         """Train from per-learner datasets (see :func:`horizontal_partition`).
 
         ``eval_set`` enables the per-iteration correct-ratio series of
-        Fig. 4(e) (scored with the consensus model).  ``health_monitor``
-        optionally streams each iteration into a
-        :class:`~repro.obs.health.HealthMonitor` (signals are recorded,
-        not enforced — policy belongs to the caller).
+        Fig. 4(e) (scored with the consensus model).
         """
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
+        eval_rows = () if eval_set is None else (eval_set.X, eval_set.y)
+        return self._fit(
+            partitions, *eval_rows, participation=self.participation, rng=as_rng(self.seed)
+        )
 
-        n_learners = len(partitions)
-        self.workers_ = [
-            HorizontalLinearWorker(
-                p.X,
-                p.y,
-                C=self.C,
-                rho=self.rho,
-                n_learners=n_learners,
-                qp_tol=self.qp_tol,
-                qp_max_sweeps=self.qp_max_sweeps,
-            )
-            for p in partitions
-        ]
+    def _prepare(
+        self, partitions: list[Dataset]
+    ) -> tuple[list[dict[str, Any]], HorizontalConsensusReducer]:
+        n_features = check_horizontal_partitions(partitions)
+        common = dict(
+            worker=HorizontalLinearWorker,
+            C=self.C,
+            rho=self.rho,
+            n_learners=len(partitions),
+            qp_tol=self.qp_tol,
+            qp_max_sweeps=self.qp_max_sweeps,
+        )
+        payloads = [dict(common, X=p.X, y=p.y) for p in partitions]
+        return payloads, HorizontalConsensusReducer(n_features, tol=self.tol)
 
-        z = np.zeros(n_features)
-        s = 0.0
-        self.history_ = TrainingHistory()
-        rng = as_rng(self.seed)
-        n_active = max(1, int(round(self.participation * n_learners)))
+    def _publish(self, workers: list[Any], reducer: Any) -> None:
+        super()._publish(workers, reducer)
+        self.consensus_weights_, self.consensus_bias_ = reducer.z, reducer.s
 
-        for iteration in range(self.max_iter):
-            if self.participation >= 1.0 or iteration == 0:
-                active = set(range(n_learners))
-            else:
-                active = set(rng.choice(n_learners, size=n_active, replace=False).tolist())
-            w_sum = np.zeros(n_features)
-            b_sum = 0.0
-            for index, worker in enumerate(self.workers_):
-                if index in active:
-                    out = worker.step(z, s)
-                else:
-                    out = worker.last_output  # stale resend
-                w_sum += out["z_contrib"]
-                b_sum += float(out["s_contrib"][0])
-            z_new = w_sum / n_learners
-            s_new = b_sum / n_learners
-
-            z_change = float(np.sum((z_new - z) ** 2) + (s_new - s) ** 2)
-            mean_w = np.mean([worker.w for worker in self.workers_], axis=0)
-            primal = float(np.linalg.norm(mean_w - z_new))
-            z, s = z_new, s_new
-
-            acc = float("nan")
-            if eval_set is not None:
-                scores = eval_set.X @ z + s
-                preds = np.where(scores >= 0, 1.0, -1.0)
-                acc = accuracy(eval_set.y, preds)
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
-
-        self.consensus_weights_ = z
-        self.consensus_bias_ = s
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         """Scores under the consensus model ``(z, s)``."""
         if self.consensus_weights_ is None:
             raise RuntimeError("model must be fit before use")
-        X = check_matrix(X, "X")
         return X @ self.consensus_weights_ + self.consensus_bias_
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels under the consensus model."""
-        scores = self.decision_function(X)
-        return np.where(scores >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy of the consensus model."""
-        return accuracy(check_labels(y, "y"), self.predict(X))

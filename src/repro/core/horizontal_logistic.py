@@ -24,22 +24,24 @@ is smooth and strongly convex — solved by damped Newton (the Hessian is
     z = rho * sum_m (w_m + gamma_m) / (lam + M rho),
 
 again a function of *sums only*, so the secure summation protocol
-applies unchanged.
+applies unchanged: it is the SVMs'
+:class:`~repro.core.mapreduce_svm.HorizontalConsensusReducer` with
+``lam > 0``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingHistory
+from repro.core.mapreduce_svm import (
+    ConsensusModel,
+    HorizontalConsensusReducer,
+    check_horizontal_partitions,
+)
 from repro.data.dataset import Dataset
-from repro.svm.model import accuracy
 from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
 
 __all__ = ["HorizontalLogisticRegression", "LogisticWorker"]
 
@@ -134,10 +136,10 @@ class LogisticWorker:
         }
 
 
-class HorizontalLogisticRegression:
+class HorizontalLogisticRegression(ConsensusModel):
     """Privacy-preserving consensus logistic regression (in-process).
 
-    The same orchestration as
+    The same round as
     :class:`~repro.core.horizontal_linear.HorizontalLinearSVM`, with
     logistic workers and a regularized z-update.
 
@@ -160,93 +162,40 @@ class HorizontalLogisticRegression:
         max_iter: int = 50,
         tol: float | None = None,
     ) -> None:
+        super().__init__(max_iter=max_iter, tol=tol)
         self.lam = check_positive(lam, "lam")
         self.rho = check_positive(rho, "rho")
-        self.max_iter = int(max_iter)
-        self.tol = tol
-        self.workers_: list[LogisticWorker] = []
         self.consensus_weights_: np.ndarray | None = None
         self.consensus_bias_: float = 0.0
-        self.history_ = TrainingHistory()
 
     def fit(
-        self,
-        partitions: list[Dataset],
-        *,
-        eval_set: Dataset | None = None,
-        health_monitor: "HealthMonitor | None" = None,
+        self, partitions: list[Dataset], *, eval_set: Dataset | None = None
     ) -> "HorizontalLogisticRegression":
         """Train from per-learner datasets."""
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
-        n_learners = len(partitions)
-        self.workers_ = [LogisticWorker(p.X, p.y, rho=self.rho) for p in partitions]
+        eval_rows = () if eval_set is None else (eval_set.X, eval_set.y)
+        return self._fit(partitions, *eval_rows)
 
-        z = np.zeros(n_features)
-        s = 0.0
-        self.history_ = TrainingHistory()
-        for iteration in range(self.max_iter):
-            w_sum = np.zeros(n_features)
-            b_sum = 0.0
-            for worker in self.workers_:
-                out = worker.step(z, s)
-                w_sum += out["z_contrib"]
-                b_sum += float(out["s_contrib"][0])
-            # Regularized averaging: the z-update of the consensus problem
-            # with (lam/2)||z||^2 at the coordinator.
-            z_new = self.rho * w_sum / (self.lam + n_learners * self.rho)
-            s_new = b_sum / n_learners  # bias unregularized
+    def _prepare(
+        self, partitions: list[Dataset]
+    ) -> tuple[list[dict[str, Any]], HorizontalConsensusReducer]:
+        n_features = check_horizontal_partitions(partitions)
+        payloads = [dict(worker=LogisticWorker, X=p.X, y=p.y, rho=self.rho) for p in partitions]
+        reducer = HorizontalConsensusReducer(
+            n_features, tol=self.tol, lam=self.lam, rho=self.rho
+        )
+        return payloads, reducer
 
-            z_change = float(np.sum((z_new - z) ** 2) + (s_new - s) ** 2)
-            mean_w = np.mean([worker.w for worker in self.workers_], axis=0)
-            primal = float(np.linalg.norm(mean_w - z_new))
-            z, s = z_new, s_new
+    def _publish(self, workers: list[Any], reducer: Any) -> None:
+        super()._publish(workers, reducer)
+        self.consensus_weights_, self.consensus_bias_ = reducer.z, reducer.s
 
-            acc = float("nan")
-            if eval_set is not None:
-                preds = np.where(eval_set.X @ z + s >= 0, 1.0, -1.0)
-                acc = accuracy(eval_set.y, preds)
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
-
-        self.consensus_weights_ = z
-        self.consensus_bias_ = s
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         """Consensus log-odds scores."""
         if self.consensus_weights_ is None:
             raise RuntimeError("model must be fit before use")
-        X = check_matrix(X, "X")
         return X @ self.consensus_weights_ + self.consensus_bias_
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """P(y = +1 | x) under the consensus model."""
         scores = self.decision_function(X)
         return 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))

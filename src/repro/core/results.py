@@ -28,13 +28,13 @@ class IterationRecord:
         ``||z^{t+1} - z^t||_2^2`` — the convergence quantity of
         Fig. 4(a)–(d).
     primal_residual:
-        ``||mean_m w_m - z||_2`` (horizontal) or ``||abar - zbar||_2``
-        (vertical): how far the learners are from consensus.
+        ``||abar - zbar||_2`` (vertical): how far the learners are from
+        consensus; ``nan`` for the horizontal schemes.
     accuracy:
         Correct ratio on the evaluation set, if one was supplied
         (Fig. 4(e)–(h)); ``nan`` otherwise.
     residual_available:
-        Whether ``primal_residual`` was actually measured.  The secure
+        Whether ``primal_residual`` was actually measured.  The
         horizontal Reducer only ever sees the *sums* ``w_m + gamma_m``,
         so it cannot separate the dual terms to compute the residual —
         it records ``nan`` with ``residual_available=False`` instead of

@@ -6,8 +6,8 @@
   a *private* block pinned to that node (data locality — raw data never
   moves, and the namenode refuses to move it);
 * one long-lived **Mapper** per learner runs the ADMM local step
-  (:mod:`repro.core.mapreduce_svm`), warm-starting its QP between
-  iterations;
+  (:class:`~repro.core.mapreduce_svm.ADMMMapper`), warm-starting its QP
+  between iterations;
 * the **Reducer** learns only the *sums* of the local results, delivered
   by the coalition-resistant **secure summation protocol** (Section V),
   and broadcasts the new consensus over the Twister feedback channel;
@@ -15,10 +15,12 @@
   out.
 
 The numerical trajectory is identical (up to fixed-point rounding, about
-``2^-40`` per term) to the in-process trainers, because the same worker
-classes execute the mathematics; what this class adds is the *system*:
-placement, messaging, masking, and the accounting that backs the paper's
-privacy and scalability claims.
+``2^-40`` per term) to the in-process trainers, because it *is* their
+round: the same payloads, workers, reducer and prediction path, run by
+the same :class:`~repro.cluster.twister.IterativeMapReduceDriver` over a
+:class:`~repro.cluster.twister.ClusterTransport` instead of in memory.
+What this class adds is the *system*: placement, messaging, masking, and
+the accounting that backs the paper's privacy and scalability claims.
 
 Example
 -------
@@ -47,19 +49,18 @@ from repro.cluster.profiling import Profiler
 from repro.cluster.tracing import cost_table
 from repro.cluster.twister import (
     Aggregator,
+    ClusterTransport,
     IterationResult,
     IterativeMapReduceDriver,
     PlaintextAggregator,
 )
-from repro.core.horizontal_kernel import sample_landmarks
-from repro.core.mapreduce_svm import (
-    HorizontalConsensusReducer,
-    HorizontalSVMMapper,
-    VerticalReducerAdapter,
-    VerticalSVMMapper,
-)
+from repro.core.horizontal_kernel import HorizontalKernelSVM
+from repro.core.horizontal_linear import HorizontalLinearSVM
+from repro.core.mapreduce_svm import ADMMMapper, Classifier, ConsensusModel
 from repro.core.partitioning import VerticalPartition
 from repro.core.results import TrainingHistory
+from repro.core.vertical_kernel import VerticalKernelSVM
+from repro.core.vertical_linear import VerticalLinearSVM
 from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.crypto.secure_sum import SecureSumAggregator
 from repro.data.dataset import Dataset
@@ -72,15 +73,14 @@ from repro.obs.ledger import (
     dataset_fingerprint,
 )
 from repro.svm.kernels import Kernel
-from repro.svm.model import accuracy
-from repro.utils.validation import check_labels, check_matrix, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["PrivacyPreservingSVM"]
 
 _TRAINING_FILE = "training-data"
 
 
-class PrivacyPreservingSVM:
+class PrivacyPreservingSVM(Classifier):
     """Privacy-preserving distributed SVM on the simulated cluster.
 
     Parameters
@@ -181,6 +181,8 @@ class PrivacyPreservingSVM:
         self.on_health = on_health
         self._health_monitor_override = health_monitor
 
+        self._variant = self._make_variant()
+
         self.network_: Network | None = None
         self.profiler_: Profiler | None = None
         self.hdfs_: SimulatedHdfs | None = None
@@ -190,9 +192,26 @@ class PrivacyPreservingSVM:
         self.audit_log_: ProtocolAuditLog | None = None
         self.dataset_fingerprint_: dict[str, Any] | None = None
         self.landmarks_: np.ndarray | None = None
-        self._reducer: HorizontalConsensusReducer | VerticalReducerAdapter | None = None
-        self._partition: VerticalPartition | None = None
         self._n_learners = 0
+
+    def _make_variant(self) -> ConsensusModel:
+        """The in-process trainer whose payloads, reducer and prediction
+        path this system runs on the cluster."""
+        common = dict(C=self.C, rho=self.rho, max_iter=self.max_iter, tol=self.tol)
+        if self.partitioning == "vertical":
+            if self.kernel is None:
+                return VerticalLinearSVM(**common)
+            return VerticalKernelSVM(self.kernel, **common)
+        common.update(seed=self.seed, qp_tol=self.qp_tol, qp_max_sweeps=self.qp_max_sweeps)
+        if self.kernel is None:
+            return HorizontalLinearSVM(**common)
+        return HorizontalKernelSVM(
+            self.kernel,
+            n_landmarks=self.n_landmarks,
+            landmark_scale=self.landmark_scale,
+            eval_learner=self.eval_learner,
+            **common,
+        )
 
     # -- training --------------------------------------------------------
 
@@ -201,16 +220,12 @@ class PrivacyPreservingSVM:
         if self.partitioning == "horizontal":
             if not isinstance(data, list):
                 raise TypeError("horizontal training expects a list of Dataset partitions")
-            payloads, reducer, n_consensus = self._prepare_horizontal(data)
-            mapper_factory = HorizontalSVMMapper
-        else:
-            if not isinstance(data, VerticalPartition):
-                raise TypeError("vertical training expects a VerticalPartition")
-            payloads, reducer, n_consensus = self._prepare_vertical(data)
-            mapper_factory = VerticalSVMMapper
-
+        elif not isinstance(data, VerticalPartition):
+            raise TypeError("vertical training expects a VerticalPartition")
+        variant = self._variant
+        payloads, reducer = variant._prepare(data)
+        self.landmarks_ = getattr(variant, "landmarks_", None)
         self._n_learners = len(payloads)
-        self._reducer = reducer
         self.dataset_fingerprint_ = self._fingerprint(data)
 
         profiler = Profiler()
@@ -225,14 +240,11 @@ class PrivacyPreservingSVM:
         health = self._health_monitor_override or HealthMonitor()
         health.metrics = profiler
         health.tracer = profiler.tracer
-        aggregator = self._make_aggregator(audit)
         driver = IterativeMapReduceDriver(
-            hdfs=hdfs,
-            mapper_factory=mapper_factory,
+            transport=ClusterTransport(hdfs, self._make_aggregator(audit)),
+            mapper_factory=ADMMMapper,
             reducer=reducer,
-            aggregator=aggregator,
-            reducer_node="reducer",
-            on_round=self._health_hook(reducer.history, health),
+            on_round=self._on_round,
         )
 
         # Expose the run's observability handles before the driver loop
@@ -249,28 +261,26 @@ class PrivacyPreservingSVM:
             driver.run(_TRAINING_FILE, max_iterations=self.max_iter)
         finally:
             health.finalize()
+            variant._publish([mapper.worker for mapper in driver.mappers()], reducer)
         return self
 
-    def _health_hook(self, history: TrainingHistory, health: HealthMonitor) -> Any:
-        """Per-round driver callback streaming metrics into the monitor."""
-
-        def on_round(result: IterationResult) -> None:
-            record = history.records[-1]
-            signals = health.observe(
-                record.iteration,
-                z_change_sq=record.z_change_sq,
-                primal_residual=record.primal_residual,
-                residual_available=record.residual_available,
-                bytes_delta=result.bytes_delta,
-            )
-            if not signals or self.on_health == "ignore":
-                return
-            if self.on_health == "raise":
-                raise HealthPolicyError(signals[0].message)
-            for signal in signals:
-                warnings.warn(signal.message, RuntimeWarning, stacklevel=2)
-
-        return on_round
+    def _on_round(self, result: IterationResult) -> None:
+        """Stream the round's record into the health monitor and apply
+        the ``on_health`` policy to what fires."""
+        record = self.history_.records[-1]
+        signals = self.health_monitor_.observe(
+            record.iteration,
+            z_change_sq=record.z_change_sq,
+            primal_residual=record.primal_residual,
+            residual_available=record.residual_available,
+            bytes_delta=result.bytes_delta,
+        )
+        if not signals or self.on_health == "ignore":
+            return
+        if self.on_health == "raise":
+            raise HealthPolicyError(signals[0].message)
+        for signal in signals:
+            warnings.warn(signal.message, RuntimeWarning, stacklevel=2)
 
     def _fingerprint(self, data: list[Dataset] | VerticalPartition) -> dict[str, Any]:
         """Aggregate dataset identity for the run ledger (hash + shape only)."""
@@ -323,61 +333,11 @@ class PrivacyPreservingSVM:
             codec=codec, mode=self.mask_mode, seed=self.seed, audit=audit
         )
 
-    def _prepare_horizontal(
-        self, partitions: list[Dataset]
-    ) -> tuple[list[dict[str, Any]], HorizontalConsensusReducer, int]:
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
-        n_learners = len(partitions)
-
-        common: dict[str, Any] = dict(
-            C=self.C,
-            rho=self.rho,
-            n_learners=n_learners,
-            qp_tol=self.qp_tol,
-            qp_max_sweeps=self.qp_max_sweeps,
-        )
-        if self.kernel is not None:
-            self.landmarks_ = sample_landmarks(
-                self.n_landmarks, n_features, scale=self.landmark_scale, seed=self.seed
-            )
-            common.update(kernel=self.kernel, landmarks=self.landmarks_)
-            n_consensus = self.n_landmarks
-        else:
-            n_consensus = n_features
-
-        payloads = [dict(common, X=p.X, y=p.y) for p in partitions]
-        reducer = HorizontalConsensusReducer(n_consensus, tol=self.tol)
-        return payloads, reducer, n_consensus
-
-    def _prepare_vertical(
-        self, partition: VerticalPartition
-    ) -> tuple[list[dict[str, Any]], VerticalReducerAdapter, int]:
-        self._partition = partition
-        payloads = [
-            dict(X=block, rho=self.rho, kernel=self.kernel) for block in partition.blocks
-        ]
-        reducer = VerticalReducerAdapter(
-            partition.y,
-            C=self.C,
-            rho=self.rho,
-            n_learners=partition.n_learners,
-            tol=self.tol,
-        )
-        return payloads, reducer, partition.n_samples
-
     # -- prediction --------------------------------------------------------
 
-    def _workers(self) -> list[Any]:
-        if self.driver_ is None:
-            raise RuntimeError("model must be fit before use")
-        return [m.worker for m in self.driver_.mappers()]
-
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Joint decision scores for new points ``X``.
+        """Joint decision scores for new points ``X``, by the in-process
+        variant's own prediction path:
 
         * horizontal linear: the consensus hyperplane ``(z, s)``;
         * horizontal kernel: the ``eval_learner``'s representer model;
@@ -385,26 +345,8 @@ class PrivacyPreservingSVM:
           Reducer's bias (the deployment-faithful evaluation path).
         """
         self._require_fitted()
-        X = check_matrix(X, "X")
-        if self.partitioning == "horizontal":
-            reducer = self._reducer
-            if self.kernel is None:
-                return X @ reducer.z + reducer.s
-            worker = self._workers()[self.eval_learner]
-            return worker.local_decision_function(X)
-        blocks = self._partition.split_features(X)
-        scores = np.zeros(X.shape[0])
-        for worker, block in zip(self._workers(), blocks):
-            scores += worker.score_share(block)
-        return scores + self._reducer.logic.bias
+        return self._variant.decision_function(X)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))
 
     # -- accounting ----------------------------------------------------------
 

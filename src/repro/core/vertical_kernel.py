@@ -17,7 +17,7 @@ The inverse ``(K_m + I/rho)^(-1)`` is formed once at set-up, and since
 ``K_m (K_m + I/rho)^(-1) = I - (1/rho) (K_m + I/rho)^(-1)`` the share is
 ``a_m = p_m - alpha_m / rho``: each step is one ``N x N`` matrix-vector
 product.  The Reducer step is *identical* to the linear case
-(:class:`~repro.core.vertical_linear.VerticalConsensusReducer`).
+(:class:`~repro.core.mapreduce_svm.VerticalConsensusReducer`).
 
 Note the resulting joint model is an **additive kernel machine**
 ``f(x) = sum_m K_m(x_m, X_m) alpha_m + b``: each learner contributes a
@@ -28,19 +28,13 @@ only in the shared consensus vector, exactly as in the paper.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 
-from repro.core.partitioning import VerticalPartition
-from repro.core.results import IterationRecord, TrainingHistory
-from repro.core.vertical_linear import VerticalConsensusReducer
+from repro.core.vertical_linear import VerticalLinearSVM
 from repro.svm.kernels import Kernel, RBFKernel
-from repro.svm.model import accuracy
-from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
+from repro.utils.validation import check_matrix, check_positive
 
 __all__ = ["VerticalKernelSVM", "VerticalKernelWorker"]
 
@@ -94,11 +88,10 @@ class VerticalKernelWorker:
         return self.kernel(X_test, self.X) @ self.alpha
 
 
-class VerticalKernelSVM:
+class VerticalKernelSVM(VerticalLinearSVM):
     """In-process trainer for the kernel vertical scheme.
 
-    Identical orchestration to
-    :class:`~repro.core.vertical_linear.VerticalLinearSVM`, with kernel
+    :class:`~repro.core.vertical_linear.VerticalLinearSVM` with kernel
     workers.  The ``kernel`` is applied per-learner to that learner's
     feature block.
     """
@@ -112,88 +105,8 @@ class VerticalKernelSVM:
         max_iter: int = 100,
         tol: float | None = None,
     ) -> None:
+        super().__init__(C, rho, max_iter=max_iter, tol=tol)
         self.kernel = kernel if kernel is not None else RBFKernel(gamma=0.5)
-        self.C = check_positive(C, "C")
-        self.rho = check_positive(rho, "rho")
-        self.max_iter = int(max_iter)
-        self.tol = tol
-        self.workers_: list[VerticalKernelWorker] = []
-        self.reducer_: VerticalConsensusReducer | None = None
-        self.partition_: VerticalPartition | None = None
-        self.history_ = TrainingHistory()
 
-    def fit(
-        self,
-        partition: VerticalPartition,
-        *,
-        eval_X=None,
-        eval_y=None,
-        health_monitor: "HealthMonitor | None" = None,
-    ) -> "VerticalKernelSVM":
-        """Train; ``eval_X/eval_y`` enable the Fig. 4(h) accuracy series."""
-        self.partition_ = partition
-        self.workers_ = [
-            VerticalKernelWorker(block, kernel=self.kernel, rho=self.rho)
-            for block in partition.blocks
-        ]
-        self.reducer_ = VerticalConsensusReducer(
-            partition.y, C=self.C, rho=self.rho, n_learners=partition.n_learners
-        )
-        eval_blocks = None
-        if eval_X is not None:
-            eval_blocks = partition.split_features(check_matrix(eval_X, "eval_X"))
-            eval_y = check_labels(eval_y, "eval_y", length=eval_blocks[0].shape[0])
-
-        n = partition.n_samples
-        correction = np.zeros(n)
-        self.history_ = TrainingHistory()
-
-        for iteration in range(self.max_iter):
-            share_sum = np.zeros(n)
-            for worker in self.workers_:
-                share_sum += worker.step(correction)["share"]
-            correction, z_change, primal = self.reducer_.step(share_sum)
-
-            acc = float("nan")
-            if eval_blocks is not None:
-                scores = self._scores_from_blocks(eval_blocks)
-                acc = accuracy(eval_y, np.where(scores >= 0, 1.0, -1.0))
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
-        return self
-
-    def _scores_from_blocks(self, blocks: list[np.ndarray]) -> np.ndarray:
-        scores = np.zeros(blocks[0].shape[0])
-        for worker, block in zip(self.workers_, blocks):
-            scores += worker.score_share(block)
-        return scores + self.reducer_.bias
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Joint additive-kernel scores across all learners."""
-        if self.partition_ is None or self.reducer_ is None:
-            raise RuntimeError("model must be fit before use")
-        blocks = self.partition_.split_features(check_matrix(X, "X"))
-        return self._scores_from_blocks(blocks)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))
+    def _worker_params(self) -> dict[str, Any]:
+        return {"worker": VerticalKernelWorker, "kernel": self.kernel}

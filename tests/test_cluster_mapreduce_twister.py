@@ -7,6 +7,7 @@ from repro.cluster.hdfs import SimulatedHdfs
 from repro.cluster.mapreduce import MapReduceJob, stable_partition_hash
 from repro.cluster.network import Network
 from repro.cluster.twister import (
+    ClusterTransport,
     IterativeMapper,
     IterativeMapReduceDriver,
     IterativeReducer,
@@ -123,10 +124,9 @@ class TestIterativeDriver:
         hdfs.put("parts", [1.0, 2.0, 3.0], preferred_nodes=["n0", "n1", "n2"])
         reducer = AveragingReducer(stop_after)
         driver = IterativeMapReduceDriver(
-            hdfs=hdfs,
+            transport=ClusterTransport(hdfs, PlaintextAggregator()),
             mapper_factory=CountingMapper,
             reducer=reducer,
-            aggregator=PlaintextAggregator(),
         )
         return network, driver, reducer
 
@@ -178,10 +178,9 @@ class TestIterativeDriver:
         hdfs.put("parts", [1.0, 2.0, 3.0, 4.0], preferred_nodes=["n0", "n0", "n1", "n1"])
         reducer = AveragingReducer(1)
         driver = IterativeMapReduceDriver(
-            hdfs=hdfs,
+            transport=ClusterTransport(hdfs, PlaintextAggregator()),
             mapper_factory=CountingMapper,
             reducer=reducer,
-            aggregator=PlaintextAggregator(),
         )
         driver.run("parts")
         # Sum = 10 over 4 mappers -> average 2.5; only 2 consensus messages.

@@ -135,7 +135,7 @@ class TestPartialParticipation:
     def test_first_iteration_everyone_participates(self, parts_and_test):
         parts, _ = parts_and_test
         model = HorizontalLinearSVM(max_iter=1, participation=0.25, seed=0).fit(parts)
-        assert all(w.last_output is not None for w in model.workers_)
+        assert all(w.last_qp is not None for w in model.workers_)
 
     def test_invalid_participation(self):
         with pytest.raises(ValueError, match="participation"):
@@ -155,7 +155,7 @@ class TestThresholdAggregatorTraining:
             seed=0,
             aggregator=ThresholdSumAggregator(threshold=3, seed=0),
         ).fit(parts)
-        np.testing.assert_allclose(masked._reducer.z, robust._reducer.z, atol=1e-8)
+        np.testing.assert_allclose(masked._variant.reducer_.z, robust._variant.reducer_.z, atol=1e-8)
 
     def test_training_survives_scheduled_dropout(self, cancer_split):
         # One mapper crashes (after sharing) on iterations 3 and 5 — the
@@ -170,5 +170,5 @@ class TestThresholdAggregatorTraining:
             aggregator=ThresholdSumAggregator(threshold=3, seed=0, dropout_schedule=schedule),
         ).fit(parts)
         reference = PrivacyPreservingSVM("horizontal", max_iter=10, seed=0).fit(parts)
-        np.testing.assert_allclose(model._reducer.z, reference._reducer.z, atol=1e-8)
+        np.testing.assert_allclose(model._variant.reducer_.z, reference._variant.reducer_.z, atol=1e-8)
         assert model.score(test.X, test.y) > 0.85

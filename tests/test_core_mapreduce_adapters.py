@@ -1,17 +1,20 @@
-"""Direct unit tests for the Mapper/Reducer Twister adapters."""
+"""Direct unit tests for the ADMM round's Map() and Reduce() tasks."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.twister import MapperContext, ReducerContext
 from repro.cluster.network import Network
+from repro.core.horizontal_kernel import HorizontalKernelWorker
+from repro.core.horizontal_linear import HorizontalLinearWorker
 from repro.core.mapreduce_svm import (
+    ADMMMapper,
     HorizontalConsensusReducer,
-    HorizontalSVMMapper,
     VerticalReducerAdapter,
-    VerticalSVMMapper,
 )
-from repro.core.partitioning import horizontal_partition, vertical_partition
+from repro.core.partitioning import vertical_partition
+from repro.core.vertical_kernel import VerticalKernelWorker
+from repro.core.vertical_linear import VerticalLinearWorker
 from repro.data.synthetic import make_blobs
 from repro.svm.kernels import RBFKernel
 
@@ -32,36 +35,36 @@ def reducer_context():
 
 def horizontal_payload(kernel=None):
     ds = make_blobs(40, 3, seed=0)
-    payload = dict(X=ds.X, y=ds.y, C=10.0, rho=10.0, n_learners=2)
+    payload = dict(worker=HorizontalLinearWorker, X=ds.X, y=ds.y, C=10.0, rho=10.0, n_learners=2)
     if kernel is not None:
-        payload.update(kernel=kernel, landmarks=np.zeros((4, 3)) + np.eye(4, 3))
+        payload.update(
+            worker=HorizontalKernelWorker,
+            kernel=kernel,
+            landmarks=np.zeros((4, 3)) + np.eye(4, 3),
+        )
     return payload
 
 
 class TestHorizontalMapper:
     def test_configure_builds_linear_worker(self, context):
-        mapper = HorizontalSVMMapper()
+        mapper = ADMMMapper()
         mapper.configure(horizontal_payload(), context)
-        from repro.core.horizontal_linear import HorizontalLinearWorker
-
         assert isinstance(mapper.worker, HorizontalLinearWorker)
 
     def test_configure_builds_kernel_worker(self, context):
-        mapper = HorizontalSVMMapper()
+        mapper = ADMMMapper()
         mapper.configure(horizontal_payload(kernel=RBFKernel(gamma=0.5)), context)
-        from repro.core.horizontal_kernel import HorizontalKernelWorker
-
         assert isinstance(mapper.worker, HorizontalKernelWorker)
 
     def test_map_delegates_to_worker(self, context):
-        mapper = HorizontalSVMMapper()
+        mapper = ADMMMapper()
         mapper.configure(horizontal_payload(), context)
         out = mapper.map({"z": np.zeros(3), "s": 0.0}, context)
         assert set(out) == {"z_contrib", "s_contrib"}
 
     def test_map_before_configure_raises(self, context):
         with pytest.raises(RuntimeError, match="configured"):
-            HorizontalSVMMapper().map({"z": np.zeros(2), "s": 0.0}, context)
+            ADMMMapper().map({"z": np.zeros(2), "s": 0.0}, context)
 
 
 class TestHorizontalReducer:
@@ -109,19 +112,22 @@ class TestHorizontalReducer:
 class TestVerticalAdapters:
     def test_mapper_linear_and_kernel(self, context):
         ds = make_blobs(30, 4, seed=1)
-        linear = VerticalSVMMapper()
-        linear.configure({"X": ds.X, "rho": 10.0, "kernel": None}, context)
+        linear = ADMMMapper()
+        linear.configure({"worker": VerticalLinearWorker, "X": ds.X, "rho": 10.0}, context)
         out = linear.map({"correction": np.zeros(30), "bias": 0.0}, context)
         assert out["share"].shape == (30,)
 
-        kernel = VerticalSVMMapper()
-        kernel.configure({"X": ds.X, "rho": 10.0, "kernel": RBFKernel(gamma=0.3)}, context)
+        kernel = ADMMMapper()
+        kernel.configure(
+            {"worker": VerticalKernelWorker, "X": ds.X, "rho": 10.0, "kernel": RBFKernel(gamma=0.3)},
+            context,
+        )
         out = kernel.map({"correction": np.zeros(30), "bias": 0.0}, context)
         assert out["share"].shape == (30,)
 
     def test_mapper_before_configure_raises(self, context):
         with pytest.raises(RuntimeError):
-            VerticalSVMMapper().map({"correction": np.zeros(2)}, context)
+            ADMMMapper().map({"correction": np.zeros(2)}, context)
 
     def test_reducer_adapter_state_and_history(self, reducer_context):
         ds = make_blobs(24, 3, seed=2)
@@ -150,8 +156,8 @@ class TestVerticalAdapters:
         rctx = ReducerContext(node_id="r", network=network)
         mappers = []
         for block in partition.blocks:
-            m = VerticalSVMMapper()
-            m.configure({"X": block, "rho": 100.0, "kernel": None}, ctx)
+            m = ADMMMapper()
+            m.configure({"worker": VerticalLinearWorker, "X": block, "rho": 100.0}, ctx)
             mappers.append(m)
         adapter = VerticalReducerAdapter(
             partition.y, C=50.0, rho=100.0, n_learners=partition.n_learners

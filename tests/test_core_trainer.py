@@ -9,10 +9,13 @@ view contains only masked shares.
 import numpy as np
 import pytest
 
+from repro.core.horizontal_kernel import HorizontalKernelSVM, HorizontalKernelWorker
 from repro.core.horizontal_linear import HorizontalLinearSVM
-from repro.core.mapreduce_svm import HorizontalSVMMapper
+from repro.core.horizontal_logistic import HorizontalLogisticRegression
+from repro.core.mapreduce_svm import ADMMMapper
 from repro.core.partitioning import horizontal_partition, vertical_partition
 from repro.core.trainer import PrivacyPreservingSVM
+from repro.core.vertical_kernel import VerticalKernelSVM
 from repro.core.vertical_linear import VerticalLinearSVM
 from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.svm.kernels import RBFKernel
@@ -25,17 +28,25 @@ def cancer_parts(cancer_split):
 
 
 class TestHorizontalTrainer:
-    def test_matches_in_process_reference(self, cancer_parts):
-        parts, _, _ = cancer_parts
-        reference = HorizontalLinearSVM(C=50.0, rho=100.0, max_iter=25).fit(parts)
+    @pytest.mark.parametrize("kernel", [None, RBFKernel(gamma=0.1)], ids=["h-lin", "h-ker"])
+    def test_matches_in_process_reference(self, kernel, cancer_parts):
+        parts, _, test = cancer_parts
+        if kernel is None:
+            reference = HorizontalLinearSVM(C=50.0, rho=100.0, max_iter=25)
+        else:
+            reference = HorizontalKernelSVM(kernel, C=50.0, rho=100.0, n_landmarks=10, max_iter=25)
+        reference.fit(parts)
         distributed = PrivacyPreservingSVM(
-            "horizontal", C=50.0, rho=100.0, max_iter=25, seed=0
+            "horizontal", kernel=kernel, C=50.0, rho=100.0, n_landmarks=10, max_iter=25, seed=0
         ).fit(parts)
         np.testing.assert_allclose(
-            distributed._reducer.z, reference.consensus_weights_, atol=1e-7
+            distributed._variant.reducer_.z, reference.reducer_.z, atol=1e-7
         )
         np.testing.assert_allclose(
             distributed.history_.z_changes, reference.history_.z_changes, atol=1e-6
+        )
+        np.testing.assert_allclose(
+            distributed.decision_function(test.X), reference.decision_function(test.X), atol=1e-6
         )
 
     def test_accuracy_reasonable(self, cancer_parts):
@@ -47,7 +58,7 @@ class TestHorizontalTrainer:
         parts, _, _ = cancer_parts
         secure = PrivacyPreservingSVM("horizontal", max_iter=15, secure=True, seed=0).fit(parts)
         plain = PrivacyPreservingSVM("horizontal", max_iter=15, secure=False, seed=0).fit(parts)
-        np.testing.assert_allclose(secure._reducer.z, plain._reducer.z, atol=1e-7)
+        np.testing.assert_allclose(secure._variant.reducer_.z, plain._variant.reducer_.z, atol=1e-7)
 
     def test_prg_mode_agrees_with_fresh(self, cancer_parts):
         parts, _, _ = cancer_parts
@@ -55,7 +66,7 @@ class TestHorizontalTrainer:
             "horizontal", max_iter=10, mask_mode="fresh", seed=0
         ).fit(parts)
         prg = PrivacyPreservingSVM("horizontal", max_iter=10, mask_mode="prg", seed=0).fit(parts)
-        np.testing.assert_allclose(fresh._reducer.z, prg._reducer.z, atol=1e-7)
+        np.testing.assert_allclose(fresh._variant.reducer_.z, prg._variant.reducer_.z, atol=1e-7)
 
     def test_kernel_variant_runs(self, cancer_parts):
         parts, _, test = cancer_parts
@@ -76,18 +87,26 @@ class TestHorizontalTrainer:
 
 
 class TestVerticalTrainer:
-    def test_matches_in_process_reference(self, cancer_split):
-        train, _ = cancer_split
+    @pytest.mark.parametrize("kernel", [None, RBFKernel(gamma=0.1)], ids=["v-lin", "v-ker"])
+    def test_matches_in_process_reference(self, kernel, cancer_split):
+        train, test = cancer_split
         partition = vertical_partition(train, 3, seed=0)
-        reference = VerticalLinearSVM(C=50.0, rho=100.0, max_iter=30).fit(partition)
+        if kernel is None:
+            reference = VerticalLinearSVM(C=50.0, rho=100.0, max_iter=30)
+        else:
+            reference = VerticalKernelSVM(kernel, C=50.0, rho=100.0, max_iter=30)
+        reference.fit(partition)
         distributed = PrivacyPreservingSVM(
-            "vertical", C=50.0, rho=100.0, max_iter=30, seed=0
+            "vertical", kernel=kernel, C=50.0, rho=100.0, max_iter=30, seed=0
         ).fit(partition)
         np.testing.assert_allclose(
-            distributed.history_.z_changes, reference.history_.z_changes, atol=1e-4
+            distributed.history_.z_changes, reference.history_.z_changes, atol=1e-6
         )
         np.testing.assert_allclose(
-            distributed._reducer.logic.zbar, reference.reducer_.zbar, atol=1e-7
+            distributed._variant.reducer_.zbar, reference.reducer_.zbar, atol=1e-7
+        )
+        np.testing.assert_allclose(
+            distributed.decision_function(test.X), reference.decision_function(test.X), atol=1e-6
         )
 
     def test_prediction_path(self, cancer_split):
@@ -188,14 +207,52 @@ class TestValidation:
         assert len(model.history_) < 100
 
 
+MAX_ITER_ENTRY_POINTS = {
+    "h-lin": lambda n: HorizontalLinearSVM(max_iter=n),
+    "h-ker": lambda n: HorizontalKernelSVM(max_iter=n),
+    "v-lin": lambda n: VerticalLinearSVM(max_iter=n),
+    "v-ker": lambda n: VerticalKernelSVM(max_iter=n),
+    "logistic": lambda n: HorizontalLogisticRegression(max_iter=n),
+    "cluster": lambda n: PrivacyPreservingSVM(max_iter=n),
+}
+
+
+class TestConstructionValidation:
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("entry", sorted(MAX_ITER_ENTRY_POINTS))
+    def test_max_iter_below_one_rejected_at_construction(self, entry, max_iter):
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            MAX_ITER_ENTRY_POINTS[entry](max_iter)
+
+    def test_eval_learner_out_of_range_rejected_before_any_round(self, cancer_parts):
+        parts, _, _ = cancer_parts
+        model = PrivacyPreservingSVM(kernel=RBFKernel(gamma=0.1), eval_learner=9, max_iter=3)
+        with pytest.raises(ValueError, match="eval_learner 9 out of range for 4 learners"):
+            model.fit(parts)
+        assert model.driver_ is None and len(model.history_) == 0
+
+    def test_in_process_eval_learner_checked_before_workers_are_built(
+        self, cancer_parts, monkeypatch
+    ):
+        parts, _, _ = cancer_parts
+
+        def never(*args, **kwargs):
+            raise AssertionError("a worker was built")
+
+        monkeypatch.setattr(HorizontalKernelWorker, "__init__", never)
+        with pytest.raises(ValueError, match="eval_learner 4 out of range"):
+            HorizontalKernelSVM(eval_learner=4, max_iter=3).fit(parts)
+
+
 class TestDriverPlumbing:
     def test_mappers_accessor_sorted_and_used_by_trainer(self, cancer_parts):
         parts, _, _ = cancer_parts
         model = PrivacyPreservingSVM("horizontal", max_iter=5, seed=0).fit(parts)
         driver = model.driver_
-        keys = sorted(driver._mappers)
+        keys = [f"learner-{m}/{m}" for m in range(len(parts))]
+        assert list(driver._mappers) == keys
         assert driver.mappers() == [driver._mappers[key] for key in keys]
-        assert model._workers() == [m.worker for m in driver.mappers()]
+        assert model._variant.workers_ == [m.worker for m in driver.mappers()]
 
     def test_serialize_counter_accumulates(self, cancer_parts):
         parts, _, _ = cancer_parts
@@ -240,7 +297,7 @@ class TestSecureSumRing:
         secure = PrivacyPreservingSVM(partitioning, **config).fit(data)
         plain = PrivacyPreservingSVM(partitioning, secure=False, **config).fit(data)
 
-        codec = secure.driver_.aggregator.codec
+        codec = secure.driver_.transport.aggregator.codec
         assert codec.modulus == 2**64
         assert codec.zeros_array(1).limbs.shape == (1, 1)
         assert 0.0 < largest[0] < codec.max_magnitude / 1000
@@ -251,13 +308,13 @@ class TestSecureSumRing:
     def test_finer_scale_gets_two_words(self, cancer_parts):
         parts, _, _ = cancer_parts
         model = PrivacyPreservingSVM(fractional_bits=52, max_iter=2, seed=0).fit(parts)
-        codec = model.driver_.aggregator.codec
+        codec = model.driver_.transport.aggregator.codec
         assert codec.modulus == 2**128
         assert codec.zeros_array(1).limbs.shape == (1, 2)
 
     def test_overflow_mid_fit_is_a_defined_error(self, cancer_parts, monkeypatch):
         parts, _, _ = cancer_parts
-        map_step = HorizontalSVMMapper.map
+        map_step = ADMMMapper.map
 
         def blow_up_learner_1(mapper, broadcast, context):
             out = map_step(mapper, broadcast, context)
@@ -265,7 +322,7 @@ class TestSecureSumRing:
                 out = {key: value * 1e9 for key, value in out.items()}
             return out
 
-        monkeypatch.setattr(HorizontalSVMMapper, "map", blow_up_learner_1)
+        monkeypatch.setattr(ADMMMapper, "map", blow_up_learner_1)
         model = PrivacyPreservingSVM(max_iter=10, seed=0, on_health="ignore")
         with pytest.raises(OverflowError, match=r"bound 2\.09715e\+06 of the ring Z_q, q = 2\^64"):
             model.fit(parts)

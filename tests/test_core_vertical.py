@@ -72,6 +72,13 @@ class TestVerticalLinear:
         with pytest.raises(RuntimeError):
             VerticalLinearSVM().predict(np.ones((1, 4)))
 
+    @pytest.mark.parametrize("half", ["eval_X", "eval_y"])
+    def test_eval_rows_need_both_halves(self, half, cancer_vertical):
+        partition, _, test = cancer_vertical
+        rows = {"eval_X": test.X, "eval_y": test.y}
+        with pytest.raises(ValueError, match="eval_X and eval_y go together"):
+            VerticalLinearSVM(max_iter=2).fit(partition, **{half: rows[half]})
+
 
 class TestVerticalLinearWorker:
     def test_share_is_projection_of_weights(self, cancer_vertical):

@@ -145,7 +145,7 @@ class TestUniformityAndLeak:
         train, _ = cancer_split
         parts = horizontal_partition(train, 4, seed=0)
         model = PrivacyPreservingSVM("horizontal", max_iter=3, secure=False, seed=0).fit(parts)
-        workers = model._workers()
+        workers = model._variant.workers_
         view = reducer_view(model.network_)
         true_values = {
             f"learner-{i}": np.concatenate([np.array([w.b + w.beta]), w.w + w.gamma])
@@ -159,7 +159,7 @@ class TestUniformityAndLeak:
         train, _ = cancer_split
         parts = horizontal_partition(train, 4, seed=0)
         model = PrivacyPreservingSVM("horizontal", max_iter=3, secure=True, seed=0).fit(parts)
-        workers = model._workers()
+        workers = model._variant.workers_
         view = reducer_view(model.network_)
         true_values = {
             f"learner-{i}": np.concatenate([np.array([w.b + w.beta]), w.w + w.gamma])

@@ -267,10 +267,12 @@ class InMemoryTransport(Transport):
     def aggregate(self, outputs: Outputs, reducer_id: str) -> dict[str, np.ndarray]:
         """Key-wise sums in node order; the outputs themselves stay untouched."""
         first, *rest = outputs.values()
-        sums = {key: np.array(value, dtype=float) for key, value in first.items()}
-        for named in rest:
-            for key, value in named.items():
-                sums[key] += value
+        sums = {}
+        for key, value in first.items():
+            total = np.array(value, dtype=float)
+            for named in rest:
+                total += named[key]
+            sums[key] = total
         return sums
 
 
@@ -394,10 +396,11 @@ class IterativeMapReduceDriver:
                     for key, mapper, context, node in tasks:
                         if key in fresh:
                             context.iteration = iteration
-                            last[key] = mapper.map(node_state[node], context)
-                        named = last[key]
+                            named = last[key] = mapper.map(node_state[node], context)
+                        else:
+                            named = last[key]
                         if node in outputs:
-                            named = {k: outputs[node][k] + value for k, value in named.items()}
+                            named = {k: np.add(outputs[node][k], v) for k, v in named.items()}
                         outputs[node] = named
 
                 with tracer.span("twister.aggregate", kind="aggregate"):

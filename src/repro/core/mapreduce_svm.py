@@ -377,6 +377,9 @@ class ConsensusModel(Classifier):
         """Run the rounds on an :class:`~repro.cluster.twister.InMemoryTransport`."""
         if (eval_X is None) != (eval_y is None):
             raise ValueError("eval_X and eval_y go together: pass both or neither")
+        if eval_X is not None:
+            X = check_matrix(eval_X, "eval_X")
+            y = check_labels(eval_y, "eval_y", length=X.shape[0])
         payloads, reducer = self._prepare(data)
         driver = IterativeMapReduceDriver(
             InMemoryTransport(), ADMMMapper, reducer, **driver_options
@@ -384,16 +387,14 @@ class ConsensusModel(Classifier):
         driver.setup(payloads)
         workers = [mapper.worker for mapper in driver.mappers()]
         self.history_ = reducer.history
+
+        def score_round(result: IterationResult) -> None:
+            self._publish(workers, reducer)
+            records = reducer.history.records
+            acc = accuracy(y, np.where(self._scores(X) >= 0, 1.0, -1.0))
+            records[-1] = replace(records[-1], accuracy=acc)
+
         if eval_X is not None:
-            X = check_matrix(eval_X, "eval_X")
-            y = check_labels(eval_y, "eval_y", length=X.shape[0])
-
-            def score_round(result: IterationResult) -> None:
-                self._publish(workers, reducer)
-                records = reducer.history.records
-                acc = accuracy(y, np.where(self._scores(X) >= 0, 1.0, -1.0))
-                records[-1] = replace(records[-1], accuracy=acc)
-
             driver.on_round = score_round
         driver.run(payloads, max_iterations=self.max_iter)
         self._publish(workers, reducer)

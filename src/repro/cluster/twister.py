@@ -410,15 +410,15 @@ class IterativeMapReduceDriver:
                 with tracer.span("twister.reduce", kind="reduce", node=self.reducer_node):
                     state, converged = self.reducer.reduce(sums, len(tasks), reducer_context)
                 network.metrics.increment("twister.iterations", 1)
-                round_span.attrs["converged"] = converged
-                round_span.attrs["bytes_delta"] = network.bytes_sent() - start_bytes
+                bytes_delta = network.bytes_sent() - start_bytes
+                round_span.attrs.update(converged=converged, bytes_delta=bytes_delta)
 
             result = IterationResult(
                 iteration=iteration,
                 state=state,
                 converged=converged,
                 wall_time_s=time.perf_counter() - start_time,
-                bytes_delta=network.bytes_sent() - start_bytes,
+                bytes_delta=bytes_delta,
             )
             self.history.append(result)
             if self.on_round is not None:

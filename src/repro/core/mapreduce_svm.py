@@ -136,13 +136,13 @@ class _RecordingReducer(IterativeReducer):
         the primal residual when one was measured, and the verdict.
         ``primal=None`` records ``nan`` with ``residual_available=False``.
         """
+        measured = {"z_change_sq": z_change}
+        if primal is not None:
+            measured["primal_residual"] = primal
         with context.network.tracer.span(
-            "admm.convergence_check", kind="trainer", node=context.node_id
+            "admm.convergence_check", kind="trainer", node=context.node_id, **measured
         ) as check:
             converged = self.tol is not None and z_change <= self.tol
-            check.attrs["z_change_sq"] = z_change
-            if primal is not None:
-                check.attrs["primal_residual"] = primal
             check.attrs.update(tol=self.tol, converged=converged)
         self.history.append(
             IterationRecord(

@@ -135,7 +135,7 @@ class _NullSpan:
     def __enter__(self) -> "_NullSpan":
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
         return None
 
 

@@ -181,8 +181,6 @@ class IterationResult:
     ----------
     iteration:
         0-based index.
-    state:
-        Broadcast state produced by the reducer this iteration.
     converged:
         The reducer's convergence verdict.
     wall_time_s:
@@ -192,7 +190,6 @@ class IterationResult:
     """
 
     iteration: int
-    state: Any
     converged: bool
     wall_time_s: float
     bytes_delta: float
@@ -415,7 +412,6 @@ class IterativeMapReduceDriver:
 
             result = IterationResult(
                 iteration=iteration,
-                state=state,
                 converged=converged,
                 wall_time_s=time.perf_counter() - start_time,
                 bytes_delta=bytes_delta,

@@ -231,8 +231,12 @@ class ClusterTransport(Transport):
         """One task per block, placed by the :class:`LocalityScheduler`."""
         hdfs = self.hdfs
         return [
-            (f"{t.node_id}/{t.block_index}", t.node_id, hdfs.read_block(t.node_id, source, t.block_index))
-            for t in LocalityScheduler(hdfs).assign(source)
+            (
+                f"{task.node_id}/{task.block_index}",
+                task.node_id,
+                hdfs.read_block(task.node_id, source, task.block_index),
+            )
+            for task in LocalityScheduler(hdfs).assign(source)
         ]
 
     def broadcast(self, src: str, nodes: list[str], state: Any) -> dict[str, Any]:
@@ -264,7 +268,7 @@ class InMemoryTransport(Transport):
     def aggregate(self, outputs: Outputs, reducer_id: str) -> dict[str, np.ndarray]:
         """Key-wise sums in node order; the outputs themselves stay untouched."""
         first, *rest = outputs.values()
-        sums = {}
+        sums: dict[str, np.ndarray] = {}
         for key, value in first.items():
             total = np.array(value, dtype=float)
             for named in rest:
@@ -374,7 +378,7 @@ class IterativeMapReduceDriver:
             fresh = everyone
             if rng is not None and self.participation < 1.0 and iteration > 0:
                 drawn = rng.choice(len(keys), size=n_fresh, replace=False)
-                fresh = {keys[index] for index in drawn.tolist()}
+                fresh = frozenset(keys[index] for index in drawn.tolist())
 
             with tracer.iteration(iteration), tracer.span(
                 "twister.round", kind="round", node=self.reducer_node

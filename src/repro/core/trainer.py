@@ -197,7 +197,7 @@ class PrivacyPreservingSVM(Classifier):
     def _make_variant(self) -> ConsensusModel:
         """The in-process trainer whose payloads, reducer and prediction
         path this system runs on the cluster."""
-        common = dict(C=self.C, rho=self.rho, max_iter=self.max_iter, tol=self.tol)
+        common: dict[str, Any] = dict(C=self.C, rho=self.rho, max_iter=self.max_iter, tol=self.tol)
         if self.partitioning == "vertical":
             if self.kernel is None:
                 return VerticalLinearSVM(**common)
@@ -268,7 +268,9 @@ class PrivacyPreservingSVM(Classifier):
         """Stream the round's record into the health monitor and apply
         the ``on_health`` policy to what fires."""
         record = self.history_.records[-1]
-        signals = self.health_monitor_.observe(
+        health = self.health_monitor_
+        assert health is not None  # set before the driver runs
+        signals = health.observe(
             record.iteration,
             z_change_sq=record.z_change_sq,
             primal_residual=record.primal_residual,

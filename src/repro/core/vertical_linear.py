@@ -124,7 +124,8 @@ class VerticalLinearSVM(ConsensusModel):
         self, partition: VerticalPartition
     ) -> tuple[list[dict[str, Any]], VerticalConsensusReducer]:
         self.partition_ = partition
-        payloads = [dict(self._worker_params(), X=block, rho=self.rho) for block in partition.blocks]
+        worker = self._worker_params()
+        payloads = [dict(worker, X=block, rho=self.rho) for block in partition.blocks]
         reducer = VerticalConsensusReducer(
             partition.y,
             C=self.C,

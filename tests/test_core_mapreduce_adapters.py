@@ -119,7 +119,7 @@ class TestVerticalAdapters:
 
         kernel = ADMMMapper()
         kernel.configure(
-            {"worker": VerticalKernelWorker, "X": ds.X, "rho": 10.0, "kernel": RBFKernel(gamma=0.3)},
+            dict(worker=VerticalKernelWorker, X=ds.X, rho=10.0, kernel=RBFKernel(gamma=0.3)),
             context,
         )
         out = kernel.map({"correction": np.zeros(30), "bias": 0.0}, context)

@@ -18,6 +18,7 @@ from repro.core.trainer import PrivacyPreservingSVM
 from repro.core.vertical_kernel import VerticalKernelSVM
 from repro.core.vertical_linear import VerticalLinearSVM
 from repro.crypto.fixed_point import FixedPointCodec, ring_bits
+from repro.data.synthetic import make_linear_task
 from repro.svm.kernels import RBFKernel
 
 
@@ -107,6 +108,18 @@ class TestVerticalTrainer:
         )
         np.testing.assert_allclose(
             distributed.decision_function(test.X), reference.decision_function(test.X), atol=1e-6
+        )
+
+    def test_learners_keep_partition_order_past_ten(self):
+        # Task keys "learner-10/10" sort before "learner-2/2"; the mappers
+        # must still line up with the partition's column blocks.
+        data = make_linear_task(200, 24, margin=0.3, seed=3)
+        partition = vertical_partition(data, 12, seed=0)
+        reference = VerticalLinearSVM(max_iter=5).fit(partition)
+        model = PrivacyPreservingSVM("vertical", max_iter=5, seed=0, on_health="ignore")
+        model.fit(partition)
+        np.testing.assert_allclose(
+            model.decision_function(data.X), reference.decision_function(data.X), atol=1e-6
         )
 
     def test_prediction_path(self, cancer_split):

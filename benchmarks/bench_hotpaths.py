@@ -179,6 +179,26 @@ def bench_codec_kernels(results: list[dict], *, smoke: bool) -> None:
         )
 
 
+def bench_sum_arrays(results: list[dict], *, smoke: bool) -> None:
+    """One learner's netting in a fresh M = 8 round: ``w_i + Sed_i`` (8
+    operands) minus ``Rev_i`` (7), 600 words each, per call."""
+    print("codec netting:")
+    batch = 20 if smoke else 500
+    for bits in RING_BITS:
+        codec = FixedPointCodec(modulus_bits=bits, max_terms=8)
+        rng = np.random.default_rng(8)
+        plus = [codec.random_vector_array(600, rng) for _ in range(8)]
+        minus = [codec.random_vector_array(600, rng) for _ in range(7)]
+
+        def net_batch():
+            for _ in range(batch):
+                codec.sum_arrays(plus, minus)
+
+        wall = _timeit(net_batch, repeats=3 if smoke else 7) / batch
+        params = {"plus": 8, "minus": 7, "words": 600, "modulus_bits": bits}
+        _record(results, "codec.sum_arrays", params, wall)
+
+
 def bench_box_qp(results: list[dict], *, smoke: bool) -> None:
     print("box QP:")
     n = 200 if smoke else 600
@@ -371,6 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     results: list[dict] = []
     pairs = bench_secure_sum(results, smoke=args.smoke)
     bench_codec_kernels(results, smoke=args.smoke)
+    bench_sum_arrays(results, smoke=args.smoke)
     bench_box_qp(results, smoke=args.smoke)
     bench_reducer_knapsack(results, smoke=args.smoke)
     bench_network_send(results, smoke=args.smoke)

@@ -45,7 +45,7 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.profiling import Profiler
@@ -59,8 +59,7 @@ class NetworkError(RuntimeError):
     """Raised for protocol misuse: unknown nodes, empty inboxes, etc."""
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """An immutable record of one network transmission.
 
     Attributes
@@ -153,6 +152,8 @@ class Network:
         self.tracer.sim_clock = lambda: self.simulated_time_s
         self.tracer.registry = self.metrics
         self._inboxes: dict[str, dict[str, deque[Message]]] = {}
+        # kind -> (messages counter, bytes counter), built once per kind.
+        self._kind_counters: dict[str, tuple[str, str]] = {}
         self._seq = 0
         self._failed: set[str] = set()
 
@@ -192,7 +193,9 @@ class Network:
         the payload is serialized exactly once per send).
         """
         self._require_registered(src)
-        self._require_registered(dst)
+        dst_inbox = self._inboxes.get(dst)
+        if dst_inbox is None:
+            raise NetworkError(f"unknown node {dst!r}; register it first")
         if src in self._failed:
             raise NetworkError(f"node {src!r} has failed and cannot send")
         if dst in self._failed:
@@ -206,26 +209,29 @@ class Network:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         received_payload = pickle.loads(blob)
         serialize_s = time.perf_counter() - serialize_start
-        message = Message(
-            seq=self._seq,
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=received_payload,
-            size_bytes=len(blob),
-        )
+        size_bytes = len(blob)
+        message = Message(self._seq, src, dst, kind, received_payload, size_bytes)
         self._seq += 1
 
-        self.metrics.increment("network.serialize_s", serialize_s)
-        self.metrics.increment("network.messages", 1)
-        self.metrics.increment(f"network.messages.{kind}", 1)
-        self.metrics.increment("network.bytes", message.size_bytes)
-        self.metrics.increment(f"network.bytes.{kind}", message.size_bytes)
+        kind_counters = self._kind_counters.get(kind)
+        if kind_counters is None:
+            kind_counters = (f"network.messages.{kind}", f"network.bytes.{kind}")
+            self._kind_counters[kind] = kind_counters
+        messages_name, bytes_name = kind_counters
+        metrics = self.metrics
+        metrics.increment("network.serialize_s", serialize_s)
+        metrics.increment("network.messages", 1)
+        metrics.increment(messages_name, 1)  # f"network.messages.{kind}"
+        metrics.increment("network.bytes", size_bytes)
+        metrics.increment(bytes_name, size_bytes)  # f"network.bytes.{kind}"
         self.simulated_time_s += self.latency_model.transfer_time(message)
 
         if self.keep_log:
             self.message_log.append(message)
-        self._inboxes[dst].setdefault(kind, deque()).append(message)
+        queue = dst_inbox.get(kind)
+        if queue is None:
+            queue = dst_inbox[kind] = deque()
+        queue.append(message)
         return message
 
     def broadcast(self, src: str, dsts: list[str], payload: Any, kind: str = "data") -> None:

@@ -130,7 +130,20 @@ class ResidueVector:
     def __iter__(self) -> Iterator[int]:
         return iter(self.to_ints())
 
-    def __getitem__(self, index: int) -> int:
+    @overload
+    def __getitem__(self, index: int) -> int: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "ResidueVector": ...
+
+    def __getitem__(self, index: int | slice) -> "int | ResidueVector":
+        """One residue as a Python int, or a slice as a residue-vector view.
+
+        A slice shares the limbs of this vector (numpy basic slicing), so
+        it costs no copy; codec operations never write into operands.
+        """
+        if isinstance(index, slice):
+            return ResidueVector(self.limbs[index], self.modulus)
         if self.limbs.dtype == object:
             return int(self.limbs[index])
         value = 0
@@ -242,6 +255,8 @@ class FixedPointCodec:
             self._top_mask = _FULL_MASK
             self._sign_shift = np.uint64(0)
             self._mask_words = self._n_limbs + 1
+        # Whether the top limb needs cutting at all (not when q = 2^64k).
+        self._cut_top = bool(self._top_mask != _FULL_MASK)
         # One word per residue: the native int64/uint64 kernels apply.
         self._one_word = self.vectorized and self._power_of_two and self._n_limbs == 1
 
@@ -379,7 +394,8 @@ class FixedPointCodec:
         else:
             words = rng.integers(0, _WORD_MOD, size=shape, dtype=np.uint64)
         if self._use_limbs():
-            words[:, -1] &= self._top_mask
+            if self._cut_top:
+                words[:, -1] &= self._top_mask
             return ResidueVector(words, self.modulus)
         ints = [v % self.modulus for v in _limbs_to_ints(words)]
         return ResidueVector(np.array(ints, dtype=object), self.modulus)
@@ -389,7 +405,8 @@ class FixedPointCodec:
     ) -> ResidueVector:
         """``sum(plus) - sum(minus) mod q`` as one batched operation.
 
-        With one word per residue the sums are native ``uint64``
+        With one word per residue the operands are added and subtracted
+        in place into one copy of the first, in native ``uint64``
         arithmetic, whose wraparound is reduction mod ``2^64`` and so
         mod any ``q = 2^k`` with ``k <= 64`` after the top mask.  With
         more limbs each 64-bit limb is split into two 32-bit halves,
@@ -398,29 +415,26 @@ class FixedPointCodec:
         folds the column sums back into limbs.  Object-dtype vectors sum
         their Python ints exactly.
         """
-        vplus = [self._coerce(v) for v in plus]
-        vminus = [self._coerce(v) for v in minus]
-        operands = vplus + vminus
-        if not operands:
-            raise ValueError("sum_arrays needs at least one operand")
-        n = len(operands[0])
-        if any(len(v) != n for v in operands):
-            lengths = sorted({len(v) for v in operands})
-            raise ValueError(f"length mismatch: {lengths}")
+        k = len(plus)
+        arrays = self._operand_limbs([*plus, *minus])
         if not self._use_limbs():
-            total = sum(v.limbs for v in vplus) - sum(v.limbs for v in vminus)
+            total = sum(arrays[:k]) - sum(arrays[k:])
             return ResidueVector(total % self.modulus, self.modulus)
-        k = len(vplus)
         if self._one_word:
-            words = np.stack([v.limbs[:, 0] for v in operands])
-            total = words[:k].sum(axis=0, dtype=np.uint64)
-            if k < len(operands):
-                total -= words[k:].sum(axis=0, dtype=np.uint64)
-            total &= self._top_mask
-            return ResidueVector(total.reshape(-1, 1), self.modulus)
+            if k:
+                total = arrays[0].copy()
+                for words in arrays[1:k]:
+                    np.add(total, words, out=total)
+            else:
+                total = np.zeros_like(arrays[0])
+            for words in arrays[k:]:
+                np.subtract(total, words, out=total)
+            if self._cut_top:
+                total &= self._top_mask
+            return ResidueVector(total, self.modulus)
         # The explicit little-endian view orders each limb's halves low,
         # high; an empty slice sums to zeros.
-        stacked = np.stack([v.limbs for v in operands]).astype("<u8", copy=False)
+        stacked = np.stack(arrays).astype("<u8", copy=False)
         split = stacked.view("<u4")
         net = split[:k].sum(axis=0, dtype=np.int64) - split[k:].sum(axis=0, dtype=np.int64)
         halves = np.empty(net.shape, dtype="<u4")
@@ -469,18 +483,34 @@ class FixedPointCodec:
                 limbs[row, i] = (r >> (_WORD_BITS * i)) & mask
         return ResidueVector(limbs, self.modulus)
 
-    def _coerce(self, value: ResidueLike) -> ResidueVector:
-        """``value`` as a :class:`ResidueVector` on this codec's backend."""
-        if not isinstance(value, ResidueVector):
-            return self._from_ints([int(v) % self.modulus for v in value])
-        if value.modulus != self.modulus:
-            raise ValueError(
-                f"residue vector modulus {value.modulus} does not match "
-                f"codec modulus {self.modulus}"
-            )
-        if (value.limbs.dtype == object) == self._use_limbs():  # mixed backends
-            return self._from_ints(value.to_ints())
-        return value
+    def _operand_limbs(self, operands: Sequence[ResidueLike]) -> list[np.ndarray]:
+        """Each operand's limb array on this codec's backend, checked.
+
+        One pass: a :class:`ResidueVector` of this modulus and backend
+        passes through as is; int sequences and vectors of the other
+        backend are repacked; a foreign modulus or a length mismatch is
+        a ``ValueError``.
+        """
+        if not operands:
+            raise ValueError("sum_arrays needs at least one operand")
+        object_backend = not self._use_limbs()
+        n = len(operands[0])
+        arrays = []
+        for value in operands:
+            if not isinstance(value, ResidueVector):
+                value = self._from_ints([int(v) % self.modulus for v in value])
+            elif value.modulus != self.modulus:
+                raise ValueError(
+                    f"residue vector modulus {value.modulus} does not match "
+                    f"codec modulus {self.modulus}"
+                )
+            elif (value.limbs.dtype == object) != object_backend:
+                value = self._from_ints(value.to_ints())
+            if len(value.limbs) != n:
+                lengths = sorted({len(v) for v in operands})
+                raise ValueError(f"length mismatch: {lengths}")
+            arrays.append(value.limbs)
+        return arrays
 
     def _negate_limbs(self, limbs: np.ndarray) -> np.ndarray:
         """Two's-complement negation modulo ``2^modulus_bits``."""

@@ -152,16 +152,19 @@ class SecureSummationProtocol:
         Emits a ``crypto.secure_sum`` span with per-phase child spans,
         plus the ``crypto.masks_generated`` /
         ``crypto.masked_shares_sent`` / ``crypto.secure_sum_rounds``
-        counters (one increment per op, so a
-        :class:`~repro.cluster.profiling.Profiler` can attribute them to
-        the enclosing iteration).
+        counters, all inside the span, so a
+        :class:`~repro.cluster.profiling.Profiler` attributes them to
+        the enclosing iteration.  In ``"fresh"`` mode
+        ``crypto.masks_generated`` is booked once per sender (``M - 1``
+        at a time) rather than once per mask; the totals are the same.
         """
         if set(values) != set(self.participants):
             raise ValueError(
                 f"values must cover exactly the participants; got {sorted(values)} "
                 f"vs {sorted(self.participants)}"
             )
-        lengths = {len(np.asarray(v, dtype=float).ravel()) for v in values.values()}
+        flat = [np.asarray(values[p], dtype=float).ravel() for p in self.participants]
+        lengths = {len(v) for v in flat}
         if len(lengths) != 1:
             raise ValueError(f"all vectors must share one length, got {sorted(lengths)}")
         (n,) = lengths
@@ -177,7 +180,13 @@ class SecureSummationProtocol:
         ):
             if self.audit is not None:
                 self.audit.begin_round("secure-sum", self.participants)
-            encoded = {p: self.codec.encode_array(values[p]) for p in self.participants}
+            # One encode for all participants (the overflow check runs
+            # before any mask is drawn); each share starts from its
+            # row slice of the result.
+            stacked = self.codec.encode_array(np.concatenate(flat))
+            encoded = {
+                p: stacked[i * n : (i + 1) * n] for i, p in enumerate(self.participants)
+            }
             # Each participant's pads: ``added`` enter its share with +,
             # ``removed`` with -.
             added: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
@@ -188,15 +197,18 @@ class SecureSummationProtocol:
                 # each joins its generator's Sed and its receiver's Rev.
                 with tracer.span("crypto.mask_exchange", kind="crypto"):
                     for sender in self.participants:
+                        sender_rng = self._rngs[sender]
                         for receiver in self.participants:
                             if receiver == sender:
                                 continue
-                            mask = self.codec.random_vector_array(n, self._rngs[sender])
-                            metrics.increment("crypto.masks_generated", 1)
+                            mask = self.codec.random_vector_array(n, sender_rng)
                             self.network.send(sender, receiver, mask, kind="mask")
                             added[sender].append(mask)  # Sed
                             if self.audit is not None:
                                 self.audit.mask_applied(sender, receiver)
+                        metrics.increment(
+                            "crypto.masks_generated", len(self.participants) - 1
+                        )
                     for receiver in self.participants:
                         for _ in range(len(self.participants) - 1):
                             mask_message = self.network.receive_message(

@@ -264,19 +264,24 @@ class ProtocolAuditLog:
     def _check_mask_balance(self, record: RoundAudit) -> None:
         # Every mask a generator added toward a target must be netted off
         # by that target exactly as many times — the +/− telescoping that
-        # makes the reducer's sum correct and each share uniform.
-        pairs = set(record.masks_applied) | {
-            (src, receiver) for (receiver, src) in record.masks_removed
+        # makes the reducer's sum correct and each share uniform.  A
+        # balanced round (the usual case) is one dict comparison; the
+        # pairs are walked only to name the ones that differ.
+        applied = dict(record.masks_applied)
+        removed = {
+            (src, receiver): count for (receiver, src), count in record.masks_removed.items()
         }
-        for generator, target in sorted(pairs):
-            applied = record.masks_applied[(generator, target)]
-            removed = record.masks_removed[(target, generator)]
-            if applied != removed:
+        if applied == removed:
+            return
+        for generator, target in sorted(applied.keys() | removed.keys()):
+            n_applied = applied.get((generator, target), 0)
+            n_removed = removed.get((generator, target), 0)
+            if n_applied != n_removed:
                 self._flag(
                     record,
                     "mask-balance",
-                    f"mask {generator}->{target}: applied {applied} times but "
-                    f"removed {removed} times",
+                    f"mask {generator}->{target}: applied {n_applied} times but "
+                    f"removed {n_removed} times",
                 )
 
     def _check_pair_seeds(self, record: RoundAudit) -> None:

@@ -251,6 +251,74 @@ class TestSumArrays:
             codec.sum_arrays([codec.zeros_array(2)], [codec.zeros_array(3)])
 
 
+class TestSumArraysContract:
+    """``sum_arrays`` vs a Python-int reference on every codec config."""
+
+    @pytest.fixture
+    def codec(self, codec_pair):
+        return codec_pair[0]
+
+    def vectors(self, codec, count, n=11, seed=0):
+        rng = default_rng(seed)
+        return [codec.random_vector_array(n, rng) for _ in range(count)]
+
+    def test_single_operand_and_empty_minus(self, codec):
+        (v,) = self.vectors(codec, 1)
+        assert codec.sum_arrays([v]).to_ints() == v.to_ints()
+        assert codec.sum_arrays([v], []).to_ints() == v.to_ints()
+        assert codec.sum_arrays([v], ()).to_ints() == v.to_ints()
+
+    def test_eight_plus_seven_minus(self, codec):
+        vecs = self.vectors(codec, 15, n=600, seed=1)
+        plus, minus = vecs[:8], vecs[8:]
+        expected = reference_sum(
+            [v.to_ints() for v in plus], [v.to_ints() for v in minus], codec.modulus
+        )
+        assert codec.sum_arrays(plus, minus).to_ints() == expected
+
+    def test_plain_int_list_operands(self, codec):
+        a, b, c = self.vectors(codec, 3, seed=2)
+        expected = reference_sum([a.to_ints(), b.to_ints()], [c.to_ints()], codec.modulus)
+        # Unreduced and negative ints are taken mod q, like residues.
+        shifted = [x - codec.modulus for x in c.to_ints()]
+        assert codec.sum_arrays([a.to_ints(), b], [shifted]).to_ints() == expected
+        assert codec.sum_arrays([a, b.to_ints()], [c.to_ints()]).to_ints() == expected
+
+    def test_length_and_modulus_mismatch_raise(self, codec):
+        a, b = self.vectors(codec, 2)
+        with pytest.raises(ValueError, match="length mismatch"):
+            codec.sum_arrays([a], [b[:10]])
+        with pytest.raises(ValueError, match="length mismatch"):
+            codec.sum_arrays([a, b.to_ints()[:3]])
+        foreign = FixedPointCodec(modulus=codec.modulus * 2 + 1).random_vector_array(
+            11, default_rng(3)
+        )
+        with pytest.raises(ValueError, match="modulus"):
+            codec.sum_arrays([a], [foreign])
+        with pytest.raises(ValueError, match="modulus"):
+            codec.sum_arrays([foreign, a])
+
+    def test_operands_are_left_unmodified(self, codec):
+        vecs = self.vectors(codec, 6, seed=4)
+        # Read-only limbs from the wire form, and row-slice views of one
+        # stacked vector, as the protocol passes them.
+        wire = [pickle.loads(pickle.dumps(v)) for v in vecs[:3]]
+        stacked = codec._from_ints([x for v in vecs[3:] for x in v.to_ints()])
+        views = [stacked[i * 11 : (i + 1) * 11] for i in range(3)]
+        before = [v.limbs.copy() for v in wire + views]
+        if codec._use_limbs():
+            assert not any(v.limbs.flags.writeable for v in wire)
+        for plus, minus in [(wire, views), (views, wire), (views[:1], []), ([], wire)]:
+            total = codec.sum_arrays(plus, minus)
+            expected = reference_sum(
+                [v.to_ints() for v in plus], [v.to_ints() for v in minus], codec.modulus
+            )
+            assert total.to_ints() == expected
+            assert not any(np.shares_memory(total.limbs, v.limbs) for v in wire + views)
+        for vec, limbs in zip(wire + views, before):
+            assert np.array_equal(vec.limbs, limbs)
+
+
 class TestOneWordKernels:
     """Rings of at most 64 bits: native int64/uint64 encode, decode, sum."""
 
@@ -299,6 +367,23 @@ class TestResidueVectorContainer:
         # Equality is value-based, independent of the backing layout.
         assert packed == other
         assert packed != codec._from_ints([(v + 1) % codec.modulus for v in ints])
+
+    def test_slice_is_a_residue_vector_view(self, codec_pair):
+        codec, legacy = codec_pair
+        ints = reference_random_vector(codec, 12, default_rng(30))
+        for packed in (codec._from_ints(ints), legacy._from_ints(ints)):
+            head = packed[:2]
+            assert isinstance(head, ResidueVector)
+            assert head.modulus == packed.modulus
+            assert [int(v) for v in head] == ints[:2]
+            assert packed[3:9:2].to_ints() == ints[3:9:2]
+            assert packed[-1:].to_ints() == ints[-1:]
+            assert len(packed[5:5]) == 0
+            assert np.shares_memory(packed[4:8].limbs, packed.limbs)
+            # A slice is a full operand: sums and decodes like any vector.
+            assert codec.sum_arrays([packed[:6]], [packed[6:]]).to_ints() == [
+                (x - y) % codec.modulus for x, y in zip(ints[:6], ints[6:])
+            ]
 
     def test_pickle_roundtrip(self, codec_pair):
         codec, _ = codec_pair

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.network import Network
 from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
 from repro.obs.audit import ProtocolAuditLog
 
@@ -79,6 +80,65 @@ class TestBatchedNetting:
         assert sum(record.masks_applied.values()) == m * (m - 1)
         assert sum(record.masks_removed.values()) == m * (m - 1)
         assert record.ok
+
+    @pytest.mark.parametrize(
+        "codec_kwargs",
+        [{"modulus_bits": 64}, {"modulus": MERSENNE_PRIME_127}],
+        ids=["one-word-64", "mersenne-prime-127"],
+    )
+    @pytest.mark.parametrize("mode", ["fresh", "prg"])
+    def test_one_word_and_odd_rings_equal_plaintext(self, mode, codec_kwargs, rng):
+        participants = [f"m{i}" for i in range(5)]
+        codec = FixedPointCodec(max_terms=5, **codec_kwargs)
+        protocol = SecureSummationProtocol(
+            Network(), participants, "red", codec=codec, mode=mode, seed=3
+        )
+        values = {p: rng.normal(size=65) * 10.0 for p in participants}
+        np.testing.assert_allclose(
+            protocol.sum_vectors(values), sum(values.values()), rtol=0, atol=5 * 2.0**-40
+        )
+
+    def test_one_encode_per_round_and_one_call_per_mask(self, rng, monkeypatch):
+        m = 6
+        calls = {"encode_array": 0, "random_vector_array": 0, "send": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(FixedPointCodec, "encode_array")
+        counting(FixedPointCodec, "random_vector_array")
+        counting(Network, "send")
+        participants = [f"m{i}" for i in range(m)]
+        codec = FixedPointCodec(modulus_bits=64, max_terms=m)
+        protocol = SecureSummationProtocol(Network(), participants, "red", codec=codec, seed=6)
+        protocol.sum_vectors({p: rng.normal(size=9) for p in participants})
+        assert calls == {
+            "encode_array": 1,
+            "random_vector_array": m * (m - 1),
+            "send": m * (m - 1) + m,
+        }
+
+    def test_overflow_raises_before_any_mask_is_drawn(self, monkeypatch):
+        participants = [f"m{i}" for i in range(4)]
+        network = Network()
+        codec = FixedPointCodec(modulus_bits=64, max_terms=4)
+        protocol = SecureSummationProtocol(network, participants, "red", codec=codec, seed=7)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a mask was drawn before the overflow check")
+
+        monkeypatch.setattr(FixedPointCodec, "random_vector_array", no_draws)
+        values = {p: np.zeros(3) for p in participants}
+        values["m3"] = np.array([0.0, 2.0 * codec.max_magnitude, 0.0])
+        with pytest.raises(OverflowError, match="overflow-safe bound"):
+            protocol.sum_vectors(values)
+        assert network.message_log == []
 
     def test_dropped_mask_still_flagged_by_audit(self, rng):
         audit = ProtocolAuditLog()

@@ -1,10 +1,8 @@
-"""Perf-regression harness for the vectorized hot paths.
+"""Perf-regression harness for the secure-sum hot paths.
 
-Times the optimized kernels against their legacy scalar counterparts —
-the legacy paths are still live behind ``FixedPointCodec(vectorized=
-False)``, so both sides run from the same commit — and writes
-``BENCH_hotpaths.json`` (one record per measurement, see
-``docs/PERFORMANCE.md`` for the schema).
+Times the codec kernels, secure-sum rounds, solvers, network sends and
+whole fits, and writes ``BENCH_hotpaths.json`` (one record per
+measurement, see ``docs/PERFORMANCE.md`` for the schema).
 
 Usage::
 
@@ -12,9 +10,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --smoke    # CI-sized
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --smoke --check
 
-``--check`` exits non-zero if any vectorized secure-sum configuration is
-slower than its legacy twin — the CI ``perf-smoke`` job runs exactly
-that, so a change that silently loses the speedup fails the build.
+``--check`` exits non-zero if any secure-sum round on the trainer's
+one-word ring (64 bits) is slower than the same configuration at 128
+bits in the same run: the native one-word kernels must keep beating the
+multi-limb carry path.  The CI ``perf-smoke`` job runs exactly that, so
+a change that silently loses the one-word speedup fails the build.
 
 The secure-sum and codec rows run at two ring widths: 64 bits, the
 one-word ring the trainer uses at its defaults
@@ -30,7 +30,6 @@ process CPU time of several fits, ``wall_s`` the median wall time.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import statistics
 import sys
@@ -86,9 +85,10 @@ def _record(results: list[dict], op: str, params: dict, wall_s: float, per_iter_
 
 
 def bench_secure_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict, dict]]:
-    """Fresh/prg secure-sum rounds, vectorized vs legacy codec backend.
+    """Fresh/prg secure-sum rounds at each ring width.
 
-    Returns (vectorized, legacy) record pairs for the --check gate.
+    Returns (64-bit, 128-bit) record pairs of one configuration for the
+    --check gate.
     """
     print("secure summation rounds:")
     configs = [("fresh", 8, 512)]
@@ -98,12 +98,10 @@ def bench_secure_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict, di
         configs += [("prg", 8, 512)]
     repeats = 2 if smoke else 5
     pairs = []
-    for (mode, n_participants, dim), bits in itertools.product(configs, RING_BITS):
+    for mode, n_participants, dim in configs:
         pair = []
-        for vectorized in (True, False):
-            codec = FixedPointCodec(
-                modulus_bits=bits, max_terms=n_participants, vectorized=vectorized
-            )
+        for bits in RING_BITS:
+            codec = FixedPointCodec(modulus_bits=bits, max_terms=n_participants)
             network = Network(keep_log=False)
             participants = [f"m{i}" for i in range(n_participants)]
             protocol = SecureSummationProtocol(
@@ -125,7 +123,6 @@ def bench_secure_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict, di
                     "participants": n_participants,
                     "dim": dim,
                     "modulus_bits": bits,
-                    "backend": "vectorized" if vectorized else "legacy",
                 },
                 wall,
                 per_round_bytes,
@@ -141,13 +138,9 @@ def bench_codec_kernels(results: list[dict], *, smoke: bool) -> None:
     repeats = 3 if smoke else 7
     rng = np.random.default_rng(1)
     values = rng.normal(size=dim)
-    for bits, vectorized in itertools.product(RING_BITS, (True, False)):
-        codec = FixedPointCodec(modulus_bits=bits, vectorized=vectorized)
-        params = {
-            "dim": dim,
-            "modulus_bits": bits,
-            "backend": "vectorized" if vectorized else "legacy",
-        }
+    for bits in RING_BITS:
+        codec = FixedPointCodec(modulus_bits=bits)
+        params = {"dim": dim, "modulus_bits": bits}
         a = codec.random_vector_array(dim, np.random.default_rng(2))
         b = codec.random_vector_array(dim, np.random.default_rng(3))
         _record(
@@ -290,14 +283,14 @@ def bench_inprocess_fits(results: list[dict], *, smoke: bool) -> None:
 def bench_end_to_end(
     results: list[dict], *, smoke: bool, ledger_dir: Path | None = None
 ) -> None:
-    """Full horizontal-linear secure fit, vectorized vs legacy codec.
+    """Full horizontal-linear secure fit on the trainer's ring.
 
     Uses a high-dimensional task (the regime the paper's big-data
     setting targets) so the secure-summation rounds — not the tiny
     per-learner QPs — carry the iteration cost.  When ``ledger_dir`` is
-    given, the last fitted model of each backend is persisted to the run
-    ledger (``kind="bench"``) so perf runs are queryable alongside
-    training runs via ``repro runs``.
+    given, the last fitted model is persisted to the run ledger
+    (``kind="bench"``) so perf runs are queryable alongside training
+    runs via ``repro runs``.
     """
     print("end-to-end horizontal linear fit:")
     n_features = 256 if smoke else 512
@@ -305,61 +298,55 @@ def bench_end_to_end(
     parts = horizontal_partition(dataset, 4, seed=0)
     max_iter = 5 if smoke else 15
     bits = ring_bits(40, 4)  # the trainer's ring for 4 learners
-    for vectorized in (True, False):
-        last_model: list[PrivacyPreservingSVM] = []
+    last_model: list[PrivacyPreservingSVM] = []
 
-        def fit():
-            # Fresh aggregator per fit: the adapter caches a protocol
-            # bound to one Network, and each fit builds a new one.
-            aggregator = SecureSumAggregator(
-                codec=FixedPointCodec(
-                    modulus_bits=bits, max_terms=4, vectorized=vectorized
-                ),
-                mode="fresh",
-                seed=0,
-            )
-            model = PrivacyPreservingSVM(
-                "horizontal",
-                C=50.0,
-                rho=100.0,
-                max_iter=max_iter,
-                seed=0,
-                aggregator=aggregator,
-            ).fit(parts)
-            last_model[:] = [model]
-
-        _record(
-            results,
-            "trainer.horizontal_linear_fit",
-            {
-                "learners": 4,
-                "n_features": n_features,
-                "max_iter": max_iter,
-                "modulus_bits": bits,
-                "backend": "vectorized" if vectorized else "legacy",
-            },
-            _timeit(fit, repeats=1 if smoke else 2),
+    def fit():
+        # Fresh aggregator per fit: the adapter caches a protocol bound
+        # to one Network, and each fit builds a new one.
+        aggregator = SecureSumAggregator(
+            codec=FixedPointCodec(modulus_bits=bits, max_terms=4),
+            mode="fresh",
+            seed=0,
         )
-        if ledger_dir is not None and last_model:
-            backend = "vectorized" if vectorized else "legacy"
-            run_id = last_model[0].save_run(
-                str(ledger_dir), kind="bench", label=f"hotpaths/{backend}"
-            )
-            print(f"  bench run recorded: {run_id} ({ledger_dir}/)")
+        model = PrivacyPreservingSVM(
+            "horizontal",
+            C=50.0,
+            rho=100.0,
+            max_iter=max_iter,
+            seed=0,
+            aggregator=aggregator,
+        ).fit(parts)
+        last_model[:] = [model]
+
+    _record(
+        results,
+        "trainer.horizontal_linear_fit",
+        {
+            "learners": 4,
+            "n_features": n_features,
+            "max_iter": max_iter,
+            "modulus_bits": bits,
+        },
+        _timeit(fit, repeats=1 if smoke else 2),
+    )
+    if ledger_dir is not None and last_model:
+        run_id = last_model[0].save_run(str(ledger_dir), kind="bench", label="hotpaths")
+        print(f"  bench run recorded: {run_id} ({ledger_dir}/)")
 
 
 def check_regressions(pairs: list[tuple[dict, dict]]) -> list[str]:
-    """A vectorized secure-sum round must never be slower than legacy."""
+    """A one-word (64-bit) secure-sum round must never be slower than
+    the same configuration on the two-limb (128-bit) ring."""
     failures = []
-    for vec, legacy in pairs:
-        if vec["wall_s"] > legacy["wall_s"]:
+    for one_word, two_limb in pairs:
+        if one_word["wall_s"] > two_limb["wall_s"]:
             failures.append(
-                f"secure_sum {vec['params']}: vectorized {vec['wall_s']:.4f}s "
-                f"slower than legacy {legacy['wall_s']:.4f}s"
+                f"secure_sum {one_word['params']}: one-word {one_word['wall_s']:.4f}s "
+                f"slower than 128-bit {two_limb['wall_s']:.4f}s"
             )
         else:
-            speedup = legacy["wall_s"] / max(vec["wall_s"], 1e-12)
-            print(f"  ok: {json.dumps(vec['params'])} speedup {speedup:.1f}x")
+            speedup = two_limb["wall_s"] / max(one_word["wall_s"], 1e-12)
+            print(f"  ok: {json.dumps(one_word['params'])} {speedup:.1f}x faster than 128-bit")
     return failures
 
 
@@ -371,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if vectorized secure-sum is slower than the legacy backend",
+        help="exit 1 if a 64-bit secure-sum round is slower than the same round at 128 bits",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="output JSON path"

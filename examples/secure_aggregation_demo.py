@@ -43,9 +43,9 @@ def main() -> None:
 
     print("\n=== 2. what the Reducer saw ===")
     view = reducer_view(network)
-    share = [int(v) for v in view.payloads('masked-share')[0]]
+    share = view.payloads("masked-share")[0]
     print(f"messages: {len(view.messages)} (all masked shares)")
-    print(f"one share's residues (mod 2^128): {share[:2]} ...")
+    print(f"one share's residues (mod 2^128): {share.to_ints()[:2]} ...")
     print(f"share decodes to: {np.round(protocol.codec.decode(share)[:3], 3)} ... "
           f"(garbage — nothing like mapper-0's {np.round(secrets['mapper-0'][:3], 3)})")
     print(f"top-byte uniformity statistic: "

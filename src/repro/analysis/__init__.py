@@ -4,7 +4,7 @@ The privacy guarantees of the paper's protocols are easy to void with a
 one-line change — send a raw block instead of a masked one, reuse a
 pairwise pad, draw a mask from the stdlib RNG — and none of those
 mistakes fail a unit test.  This package provides an AST-based lint
-framework with six shipped checkers:
+framework with five shipped checkers:
 
 * :mod:`~repro.analysis.checkers.privacy` — intraprocedural taint-flow
   from raw data (``.X``/``.y``, dataset loaders, HDFS payloads) into
@@ -14,9 +14,6 @@ framework with six shipped checkers:
   function summaries propagated over the project call graph
   (:mod:`~repro.analysis.callgraph`), so leaks that cross function
   boundaries are reported with their full source→sink call path;
-* :mod:`~repro.analysis.checkers.protocol` — static verification of the
-  secure-summation invariants (mask balance, pad-seed provenance,
-  participant floor);
 * :mod:`~repro.analysis.checkers.crypto` — randomness and arithmetic
   misuse inside ``repro/crypto`` and the DP baseline;
 * :mod:`~repro.analysis.checkers.determinism` — wall clocks, unseeded

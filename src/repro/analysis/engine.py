@@ -59,18 +59,16 @@ ENGINE_RULES = (
 
 
 def default_checkers() -> list[Checker]:
-    """Fresh instances of the six shipped checkers, in reporting order."""
+    """Fresh instances of the five shipped checkers, in reporting order."""
     from repro.analysis.checkers.crypto import CryptoMisuseChecker
     from repro.analysis.checkers.determinism import DeterminismChecker
     from repro.analysis.checkers.docs import CounterDocsChecker
     from repro.analysis.checkers.privacy import PrivacyTaintChecker
-    from repro.analysis.checkers.protocol import ProtocolInvariantChecker
     from repro.analysis.interproc import InterproceduralTaintChecker
 
     return [
         PrivacyTaintChecker(),
         InterproceduralTaintChecker(),
-        ProtocolInvariantChecker(),
         CryptoMisuseChecker(),
         DeterminismChecker(),
         CounterDocsChecker(),
@@ -296,7 +294,7 @@ def run_lint(
     paths:
         Files or directories to lint.
     checkers:
-        Checker instances to run (defaults to the six shipped ones).
+        Checker instances to run (defaults to the five shipped ones).
     allowlist:
         Pre-loaded allowlist; overrides the default lookup.
     use_default_allowlist:

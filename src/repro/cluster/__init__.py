@@ -14,7 +14,6 @@ communication claims can be *measured*:
 * :mod:`repro.cluster.hdfs` — blocks, data nodes, replication, and a
   namenode; raw training data is stored as local blocks that never move;
 * :mod:`repro.cluster.scheduler` — locality-aware map-task placement;
-* :mod:`repro.cluster.mapreduce` — classic one-shot MapReduce jobs;
 * :mod:`repro.cluster.twister` — the iterative MapReduce driver with a
   broadcast feedback channel used by the privacy-preserving trainers;
 * :mod:`repro.cluster.tracing` — structured spans/events/per-iteration
@@ -27,7 +26,6 @@ exporter formats) is documented in ``docs/OBSERVABILITY.md``.
 """
 
 from repro.cluster.hdfs import Block, HdfsError, SimulatedHdfs
-from repro.cluster.mapreduce import MapReduceJob
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.network import LatencyModel, Message, Network, NetworkError
 from repro.cluster.profiling import Profiler
@@ -49,7 +47,6 @@ __all__ = [
     "IterativeReducer",
     "LatencyModel",
     "LocalityScheduler",
-    "MapReduceJob",
     "Message",
     "MetricRegistry",
     "Network",

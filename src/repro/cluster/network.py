@@ -1,7 +1,7 @@
 """Simulated cluster network.
 
-All inter-node communication in the library — MapReduce shuffle, Twister
-broadcast, and every round of the secure summation protocol — flows
+All inter-node communication in the library — HDFS block transport,
+Twister broadcast, and every round of the secure summation protocol — flows
 through a :class:`Network`.  The network
 
 * measures each payload's serialized size (``pickle``) and accounts bytes

@@ -13,12 +13,9 @@ simulated cluster network, plus the supporting and comparison machinery:
   used by the SMC-style baselines the paper compares against in related
   work (e.g. secure kernel computation [28], BP training [30]);
 * :mod:`repro.crypto.secret_sharing` — additive and Shamir sharing, an
-  alternative aggregation backend with a different trust model;
-* :mod:`repro.crypto.dot_product` — the classic two-party secure dot
-  product protocol on which the kernel-sharing baselines rest.
+  alternative aggregation backend with a different trust model.
 """
 
-from repro.crypto.dot_product import secure_dot_product
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair, PaillierPublicKey
 from repro.crypto.secret_sharing import (
@@ -41,7 +38,6 @@ __all__ = [
     "ThresholdSummationProtocol",
     "additive_reconstruct",
     "additive_share",
-    "secure_dot_product",
     "shamir_reconstruct",
     "shamir_share",
 ]

@@ -25,30 +25,22 @@ At 40 fractional bits and up to 128 learners that is one word
 learners gets a second word.  A value past the bound is an
 ``OverflowError`` at encode, never a wrapped sum.
 
-Two backends implement the same arithmetic:
+Every operation works on :class:`ResidueVector`, a packed residue
+array.  For power-of-two moduli, residues are fixed-width little-endian
+multi-limb ``uint64`` numpy arrays of shape ``(n, L)`` (``L = 2`` for
+the default 128-bit group) with batched ``encode_array``/``decode`` and
+one multi-operand modular sum (:meth:`FixedPointCodec.sum_arrays`, which
+also backs ``add``/``subtract``).  A ring of at most 64 bits stores one
+word per residue and uses native kernels: encode is a signed ``int64``
+cast, decode a sign extension, and the sum plain ``uint64`` wraparound
+arithmetic.  Odd (prime) moduli, which only the Shamir threshold sum
+uses, keep object-dtype arrays of Python ints, which keeps the
+arithmetic exact where a fixed limb count cannot.
 
-* the **legacy list backend** — vectors of arbitrary-precision Python
-  ints (the original API: ``encode`` / ``decode`` / ``add`` /
-  ``subtract`` / ``random_vector`` on ``list[int]``), kept both as the
-  compatibility surface and as the baseline the perf-regression
-  harness compares against;
-* the **vectorized residue-array backend** (:class:`ResidueVector`) —
-  for power-of-two moduli, residues are fixed-width little-endian
-  multi-limb ``uint64`` numpy arrays of shape ``(n, L)`` (``L = 2`` for
-  the default 128-bit group) with batched ``encode``/``decode`` and one
-  multi-operand modular sum (:meth:`FixedPointCodec.sum_arrays`, which
-  also backs ``add``/``subtract``).  A ring of at most 64 bits stores one
-  word per residue and uses native kernels: encode is a signed ``int64``
-  cast, decode a sign extension, and the sum plain ``uint64``
-  wraparound arithmetic.  Odd (prime) moduli use object-dtype
-  arrays of Python ints, which keeps the arithmetic exact where a fixed
-  limb count cannot.
-
-Both backends give identical residues for every operation.  Masks are
-drawn as one ``rng.integers(0, 2**64, size=(n, words), dtype=uint64)``
-block per vector on either backend, so the same seed gives the same
-mask whichever backend runs (see ``docs/PERFORMANCE.md``, *Mask
-sampling*); ``tests/test_crypto_fixed_point_vectorized.py`` pins this.
+Masks are drawn as one ``rng.integers(0, 2**64, size=(n, words),
+dtype=uint64)`` block per vector (see ``docs/PERFORMANCE.md``, *Mask
+sampling*).  The codec's tests pin every operation against a
+per-element Python-int reference.
 
 A limb :class:`ResidueVector` pickles as its raw limb bytes, so a
 mask or share costs little more than its payload on the simulated wire
@@ -57,7 +49,7 @@ mask or share costs little more than its payload on the simulated wire
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union, overload
+from typing import Iterator, Sequence, overload
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -80,9 +72,6 @@ _RAW_WORD_GENERATORS = (
 
 #: log2 of the smallest per-value magnitude bound :func:`ring_bits` allows.
 HEADROOM_BITS = 16
-
-#: Residue-vector operand accepted by the polymorphic codec ops.
-ResidueLike = Union["ResidueVector", Sequence[int]]
 
 
 def ring_bits(fractional_bits: int, max_terms: int) -> int:
@@ -110,8 +99,7 @@ class ResidueVector:
         Either a ``uint64`` array of shape ``(n, L)`` holding each
         residue as ``L`` little-endian 64-bit limbs (power-of-two
         moduli), or an object-dtype array of shape ``(n,)`` holding
-        arbitrary-precision Python ints (odd moduli, and the legacy
-        backend).
+        arbitrary-precision Python ints (odd moduli).
     modulus:
         The group order ``q``; every stored residue is in ``[0, q)``.
 
@@ -186,7 +174,7 @@ class ResidueVector:
 
 
 class FixedPointCodec:
-    """Encode/decode float vectors for modular arithmetic.
+    """Encode/decode float vectors as packed residues for modular arithmetic.
 
     Parameters
     ----------
@@ -204,13 +192,6 @@ class FixedPointCodec:
         e.g. the prime field a Shamir-based aggregator operates in.  The
         ``modulus_bits`` attribute is then ``log2(q)`` for a power of
         two and the bit length of ``q`` otherwise.
-    vectorized:
-        Select the residue-array backend for the ``*_array`` methods
-        (the default).  ``vectorized=False`` keeps the array API but
-        routes every operation through the legacy per-element Python
-        path — the baseline ``benchmarks/bench_hotpaths.py`` measures
-        against.  Both backends draw the same mask words and produce
-        identical residues.
     """
 
     def __init__(
@@ -220,7 +201,6 @@ class FixedPointCodec:
         *,
         max_terms: int = 1024,
         modulus: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         if fractional_bits < 1:
             raise ValueError(f"fractional_bits must be >= 1, got {fractional_bits}")
@@ -238,7 +218,6 @@ class FixedPointCodec:
         self.scale: int = 1 << fractional_bits
         # Any single value must satisfy |x| * scale * max_terms < q / 2.
         self.max_magnitude: float = self.modulus / (2.0 * self.scale * self.max_terms)
-        self.vectorized = bool(vectorized)
         self._n_limbs = (self.modulus_bits + _WORD_BITS - 1) // _WORD_BITS
         if self._power_of_two:
             # Limb geometry of the power-of-two fast path; a mask is
@@ -258,95 +237,72 @@ class FixedPointCodec:
         # Whether the top limb needs cutting at all (not when q = 2^64k).
         self._cut_top = bool(self._top_mask != _FULL_MASK)
         # One word per residue: the native int64/uint64 kernels apply.
-        self._one_word = self.vectorized and self._power_of_two and self._n_limbs == 1
+        self._one_word = self._power_of_two and self._n_limbs == 1
 
-    # -- scalars (Python ints: vectors of arbitrary-precision residues) --
+    def decode(self, residues: ResidueVector) -> np.ndarray:
+        """Decode residues back to floats (centered lift, then unscale).
 
-    def encode(self, values: ArrayLike) -> list[int]:
-        """Encode a float vector as a list of residues modulo ``q``."""
-        arr = self._check_encodable(values)
-        out: list[int] = []
-        for x in arr:
-            v = int(round(float(x) * self.scale)) % self.modulus
-            out.append(v)
-        return out
-
-    def decode(self, residues: ResidueLike) -> np.ndarray:
-        """Decode residues back to floats (centered lift, then unscale)."""
-        if isinstance(residues, ResidueVector):
-            return self._decode_array(residues)
-        half = self.modulus >> 1
-        out = np.empty(len(residues), dtype=float)
-        for i, r in enumerate(residues):
-            r = int(r) % self.modulus
-            if r >= half:
-                r -= self.modulus
-            out[i] = r / self.scale
-        return out
-
-    @overload
-    def add(self, a: "ResidueVector", b: ResidueLike) -> "ResidueVector": ...
-
-    @overload
-    def add(self, a: Sequence[int], b: "ResidueVector") -> "ResidueVector": ...
-
-    @overload
-    def add(self, a: Sequence[int], b: Sequence[int]) -> list[int]: ...
-
-    def add(self, a: ResidueLike, b: ResidueLike) -> ResidueLike:
-        """Elementwise modular addition of two residue vectors.
-
-        List operands use the legacy Python-int path and return a list;
-        :class:`ResidueVector` operands use the packed backend and
-        return a :class:`ResidueVector`.  The residues are identical
-        either way.
+        Fast path: when every centered magnitude fits one limb, the
+        ``uint64 -> float64`` conversion and the power-of-two unscale
+        are each correctly rounded, which composes to exactly the
+        correctly-rounded ``int / int`` division of the exact path.
+        Multi-limb magnitudes (astronomical masked shares, sums beyond
+        2^64 ulps) and object-dtype vectors take the exact per-element
+        path instead — composing floats limb-by-limb could double-round.
+        A one-word residue is sign-extended to its centered ``int64``
+        value, whose ``int64 -> float64`` conversion is correctly
+        rounded the same way.
         """
-        if isinstance(a, ResidueVector) or isinstance(b, ResidueVector):
-            return self.sum_arrays([a, b])
-        if len(a) != len(b):
-            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        return [(int(x) + int(y)) % self.modulus for x, y in zip(a, b)]
+        if residues.modulus != self.modulus:
+            raise ValueError(
+                f"residue vector modulus {residues.modulus} does not match "
+                f"codec modulus {self.modulus}"
+            )
+        limbs = residues.limbs
+        if limbs.dtype == object:
+            return self._decode_exact(residues.to_ints())
+        if self._one_word:
+            # Sign-extend the k-bit residue to its centered int64 value.
+            shift = _WORD_BITS - self.modulus_bits
+            signed = (limbs[:, 0] << np.uint64(shift)).view(np.int64) >> shift
+            return signed.astype(np.float64) / float(self.scale)
+        negative = ((limbs[:, -1] >> self._sign_shift) & np.uint64(1)) == 1
+        magnitude = limbs
+        if np.any(negative):
+            magnitude = np.where(
+                negative[:, None], self._negate_limbs(limbs), limbs
+            )
+        if magnitude.shape[1] > 1 and np.any(magnitude[:, 1:]):
+            return self._decode_exact(residues.to_ints())
+        values = magnitude[:, 0].astype(np.float64) / float(self.scale)
+        return np.where(negative, -values, values)
 
-    @overload
-    def subtract(self, a: "ResidueVector", b: ResidueLike) -> "ResidueVector": ...
+    def add(self, a: ResidueVector, b: ResidueVector) -> ResidueVector:
+        """Elementwise modular addition of two residue vectors."""
+        return self.sum_arrays([a, b])
 
-    @overload
-    def subtract(self, a: Sequence[int], b: "ResidueVector") -> "ResidueVector": ...
-
-    @overload
-    def subtract(self, a: Sequence[int], b: Sequence[int]) -> list[int]: ...
-
-    def subtract(self, a: ResidueLike, b: ResidueLike) -> ResidueLike:
+    def subtract(self, a: ResidueVector, b: ResidueVector) -> ResidueVector:
         """Elementwise modular subtraction of two residue vectors."""
-        if isinstance(a, ResidueVector) or isinstance(b, ResidueVector):
-            return self.sum_arrays([a], [b])
-        if len(a) != len(b):
-            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        return [(int(x) - int(y)) % self.modulus for x, y in zip(a, b)]
-
-    def random_vector(self, n: int, rng: np.random.Generator) -> list[int]:
-        """A uniformly random residue vector (a one-time pad mask)."""
-        return self.random_vector_array(n, rng).to_ints()
-
-    # -- residue-array backend -------------------------------------------
+        return self.sum_arrays([a], [b])
 
     def zeros_array(self, n: int) -> ResidueVector:
         """The all-zero residue vector of length ``n`` in packed form."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        if self._use_limbs():
+        if self._power_of_two:
             return ResidueVector(
                 np.zeros((n, self._n_limbs), dtype=np.uint64), self.modulus
             )
         return ResidueVector(np.array([0] * n, dtype=object), self.modulus)
 
     def encode_array(self, values: ArrayLike) -> ResidueVector:
-        """Batched :meth:`encode` returning a packed :class:`ResidueVector`.
+        """Encode a float vector as a packed :class:`ResidueVector`.
 
-        Bit-identical to the legacy path: the scale is a power of two,
-        so ``x * scale`` and the half-to-even rounding are exact float
-        operations, and the limb decomposition slices the (at most
-        53-significant-bit) integral float exactly.
+        Each residue is ``round(x * scale) mod q``, rounding half to
+        even.  Exact: the scale is a power of two, so ``x * scale`` and
+        the rounding are exact float operations, and the limb
+        decomposition slices the (at most 53-significant-bit) integral
+        float exactly.
         """
         arr = self._check_encodable(values)
         scaled = np.rint(arr * float(self.scale))
@@ -355,7 +311,7 @@ class FixedPointCodec:
             # two's-complement word reduced mod 2^k is the residue.
             words = scaled.astype(np.int64).view(np.uint64) & self._top_mask
             return ResidueVector(words.reshape(-1, 1), self.modulus)
-        if not self._use_limbs():
+        if not self._power_of_two:
             ints = [int(v) % self.modulus for v in scaled]
             return ResidueVector(np.array(ints, dtype=object), self.modulus)
         negative = scaled < 0.0
@@ -383,8 +339,7 @@ class FixedPointCodec:
         For ``q = 2^k``, ``words`` is the limb count and the top limb is
         cut to ``k`` bits, which is exactly uniform.  For odd ``q`` one
         extra word is drawn and the little-endian composition reduced
-        mod ``q`` (bias below ``2^-64``).  Both backends use the same
-        words, so they give identical residues from the same generator.
+        mod ``q`` (bias below ``2^-64``).
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
@@ -393,7 +348,7 @@ class FixedPointCodec:
             words = rng.bit_generator.random_raw(shape)
         else:
             words = rng.integers(0, _WORD_MOD, size=shape, dtype=np.uint64)
-        if self._use_limbs():
+        if self._power_of_two:
             if self._cut_top:
                 words[:, -1] &= self._top_mask
             return ResidueVector(words, self.modulus)
@@ -401,7 +356,7 @@ class FixedPointCodec:
         return ResidueVector(np.array(ints, dtype=object), self.modulus)
 
     def sum_arrays(
-        self, plus: Sequence[ResidueLike], minus: Sequence[ResidueLike] = ()
+        self, plus: Sequence[ResidueVector], minus: Sequence[ResidueVector] = ()
     ) -> ResidueVector:
         """``sum(plus) - sum(minus) mod q`` as one batched operation.
 
@@ -417,7 +372,7 @@ class FixedPointCodec:
         """
         k = len(plus)
         arrays = self._operand_limbs([*plus, *minus])
-        if not self._use_limbs():
+        if not self._power_of_two:
             total = sum(arrays[:k]) - sum(arrays[k:])
             return ResidueVector(total % self.modulus, self.modulus)
         if self._one_word:
@@ -449,9 +404,6 @@ class FixedPointCodec:
 
     # -- internals -------------------------------------------------------
 
-    def _use_limbs(self) -> bool:
-        return self.vectorized and self._power_of_two
-
     def _check_encodable(self, values: ArrayLike) -> np.ndarray:
         arr = np.asarray(values, dtype=float).ravel()
         if not np.all(np.isfinite(arr)):
@@ -468,44 +420,24 @@ class FixedPointCodec:
             )
         return arr
 
-    def _from_ints(self, residues: Sequence[int]) -> ResidueVector:
-        """Pack already-reduced Python-int residues for this backend."""
-        if not self._use_limbs():
-            return ResidueVector(
-                np.array([int(r) for r in residues], dtype=object), self.modulus
-            )
-        n = len(residues)
-        limbs = np.empty((n, self._n_limbs), dtype=np.uint64)
-        mask = _WORD_MOD - 1
-        for row, residue in enumerate(residues):
-            r = int(residue)
-            for i in range(self._n_limbs):
-                limbs[row, i] = (r >> (_WORD_BITS * i)) & mask
-        return ResidueVector(limbs, self.modulus)
-
-    def _operand_limbs(self, operands: Sequence[ResidueLike]) -> list[np.ndarray]:
-        """Each operand's limb array on this codec's backend, checked.
-
-        One pass: a :class:`ResidueVector` of this modulus and backend
-        passes through as is; int sequences and vectors of the other
-        backend are repacked; a foreign modulus or a length mismatch is
-        a ``ValueError``.
-        """
+    def _operand_limbs(self, operands: Sequence[ResidueVector]) -> list[np.ndarray]:
+        """Each operand's limb array, checked: a foreign modulus or a
+        length mismatch is a ``ValueError``, anything but a
+        :class:`ResidueVector` a ``TypeError``."""
         if not operands:
             raise ValueError("sum_arrays needs at least one operand")
-        object_backend = not self._use_limbs()
         n = len(operands[0])
         arrays = []
         for value in operands:
             if not isinstance(value, ResidueVector):
-                value = self._from_ints([int(v) % self.modulus for v in value])
-            elif value.modulus != self.modulus:
+                raise TypeError(
+                    f"codec operands must be ResidueVector, got {type(value).__name__}"
+                )
+            if value.modulus != self.modulus:
                 raise ValueError(
                     f"residue vector modulus {value.modulus} does not match "
                     f"codec modulus {self.modulus}"
                 )
-            elif (value.limbs.dtype == object) != object_backend:
-                value = self._from_ints(value.to_ints())
             if len(value.limbs) != n:
                 lengths = sorted({len(v) for v in operands})
                 raise ValueError(f"length mismatch: {lengths}")
@@ -523,49 +455,18 @@ class FixedPointCodec:
         out[:, -1] &= self._top_mask
         return out
 
-    def _decode_array(self, vector: ResidueVector) -> np.ndarray:
-        """Decode a packed vector, bit-identical to the legacy loop.
-
-        Fast path: when every centered magnitude fits one limb, the
-        ``uint64 -> float64`` conversion and the power-of-two unscale
-        are each correctly rounded, which composes to exactly the
-        correctly-rounded ``int / int`` division the legacy path
-        performs.  Multi-limb magnitudes (astronomical masked shares,
-        sums beyond 2^64 ulps) take the exact per-element path instead
-        — composing floats limb-by-limb could double-round.  A one-word
-        residue is sign-extended to its centered ``int64`` value, whose
-        ``int64 -> float64`` conversion is correctly rounded the same
-        way.
-        """
-        if vector.modulus != self.modulus:
-            raise ValueError(
-                f"residue vector modulus {vector.modulus} does not match "
-                f"codec modulus {self.modulus}"
-            )
-        limbs = vector.limbs
-        if limbs.dtype == object:
-            return self.decode(vector.to_ints())
-        if self._one_word:
-            # Sign-extend the k-bit residue to its centered int64 value.
-            shift = _WORD_BITS - self.modulus_bits
-            signed = (limbs[:, 0] << np.uint64(shift)).view(np.int64) >> shift
-            return signed.astype(np.float64) / float(self.scale)
-        negative = ((limbs[:, -1] >> self._sign_shift) & np.uint64(1)) == 1
-        magnitude = limbs
-        if np.any(negative):
-            magnitude = np.where(
-                negative[:, None], self._negate_limbs(limbs), limbs
-            )
-        if magnitude.shape[1] > 1 and np.any(magnitude[:, 1:]):
-            return self.decode(vector.to_ints())
-        values = magnitude[:, 0].astype(np.float64) / float(self.scale)
-        return np.where(negative, -values, values)
+    def _decode_exact(self, residues: list[int]) -> np.ndarray:
+        """Centered lift and unscale of Python-int residues, one by one."""
+        half = self.modulus >> 1
+        out = np.empty(len(residues), dtype=float)
+        for i, r in enumerate(residues):
+            out[i] = (r - self.modulus if r >= half else r) / self.scale
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FixedPointCodec(fractional_bits={self.fractional_bits}, "
-            f"modulus_bits={self.modulus_bits}, max_terms={self.max_terms}, "
-            f"vectorized={self.vectorized})"
+            f"modulus_bits={self.modulus_bits}, max_terms={self.max_terms})"
         )
 
 

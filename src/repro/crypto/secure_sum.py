@@ -180,83 +180,97 @@ class SecureSummationProtocol:
         ):
             if self.audit is not None:
                 self.audit.begin_round("secure-sum", self.participants)
-            # One encode for all participants (the overflow check runs
-            # before any mask is drawn); each share starts from its
-            # row slice of the result.
-            stacked = self.codec.encode_array(np.concatenate(flat))
-            encoded = {
-                p: stacked[i * n : (i + 1) * n] for i, p in enumerate(self.participants)
-            }
-            # Each participant's pads: ``added`` enter its share with +,
-            # ``removed`` with -.
-            added: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
-            removed: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
-
-            if self.mode == "fresh":
-                # Steps 1-3: generate and exchange the pairwise masks;
-                # each joins its generator's Sed and its receiver's Rev.
-                with tracer.span("crypto.mask_exchange", kind="crypto"):
-                    for sender in self.participants:
-                        sender_rng = self._rngs[sender]
-                        for receiver in self.participants:
-                            if receiver == sender:
-                                continue
-                            mask = self.codec.random_vector_array(n, sender_rng)
-                            self.network.send(sender, receiver, mask, kind="mask")
-                            added[sender].append(mask)  # Sed
-                            if self.audit is not None:
-                                self.audit.mask_applied(sender, receiver)
-                        metrics.increment(
-                            "crypto.masks_generated", len(self.participants) - 1
-                        )
-                    for receiver in self.participants:
-                        for _ in range(len(self.participants) - 1):
-                            mask_message = self.network.receive_message(
-                                receiver, kind="mask"
-                            )
-                            if self._audit_fault == (mask_message.src, receiver):
-                                continue  # injected fault: mask never netted
-                            removed[receiver].append(mask_message.payload)  # Rev
-                            if self.audit is not None:
-                                self.audit.mask_removed(receiver, mask_message.src)
-            else:
-                # PRG mode: pads come from the shared pairwise streams; the
-                # lower-indexed partner adds, the higher-indexed one
-                # subtracts.
-                with tracer.span("crypto.pad_derivation", kind="crypto"):
-                    for (a, b), pair_rng in self._pair_rngs.items():
-                        pad = self.codec.random_vector_array(n, pair_rng)
-                        metrics.increment("crypto.masks_generated", 1)
-                        added[a].append(pad)
-                        removed[b].append(pad)
-                        if self.audit is not None:
-                            self.audit.pad_derived(a, b)
-
-            # Step 4: masked shares w_i + Sed_i - Rev_i, each one batched
-            # modular sum, to the Reducer.
-            with tracer.span("crypto.masked_shares", kind="crypto"):
-                for p in self.participants:
-                    share = self.codec.sum_arrays([encoded[p], *added[p]], removed[p])
-                    self.network.send(p, self.reducer_id, share, kind="masked-share")
-                    metrics.increment("crypto.masked_shares_sent", 1)
-                    if self.audit is not None:
-                        self.audit.share_sent(p)
-
-            # Step 5: the Reducer sums; the pads cancel telescopically.
-            with tracer.span("crypto.reduce_sum", kind="crypto", node=self.reducer_id):
-                shares: list[ResidueVector] = []
-                for _ in self.participants:
-                    message = self.network.receive_message(
-                        self.reducer_id, kind="masked-share"
-                    )
-                    shares.append(message.payload)
-                    if self.audit is not None:
-                        self.audit.share_received(message.src)
-                total = self.codec.sum_arrays(shares)
+            try:
+                total = self._run_round(flat, n)
+            except BaseException:
+                # A failed round (an overflow at encode, a failed node)
+                # must not leave the audit round open for the next one.
+                if self.audit is not None:
+                    self.audit.discard_round()
+                raise
             metrics.increment("crypto.secure_sum_rounds", 1)
             if self.audit is not None:
                 self.audit.end_round()
             return self.codec.decode(total)
+
+    def _run_round(self, flat: list[np.ndarray], n: int) -> ResidueVector:
+        """Steps 1-5 of one round; returns the Reducer's residue sum."""
+        metrics = self.network.metrics
+        tracer = self.network.tracer
+        # One encode for all participants (the overflow check runs
+        # before any mask is drawn); each share starts from its
+        # row slice of the result.
+        stacked = self.codec.encode_array(np.concatenate(flat))
+        encoded = {
+            p: stacked[i * n : (i + 1) * n] for i, p in enumerate(self.participants)
+        }
+        # Each participant's pads: ``added`` enter its share with +,
+        # ``removed`` with -.
+        added: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
+        removed: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
+
+        if self.mode == "fresh":
+            # Steps 1-3: generate and exchange the pairwise masks;
+            # each joins its generator's Sed and its receiver's Rev.
+            with tracer.span("crypto.mask_exchange", kind="crypto"):
+                for sender in self.participants:
+                    sender_rng = self._rngs[sender]
+                    for receiver in self.participants:
+                        if receiver == sender:
+                            continue
+                        mask = self.codec.random_vector_array(n, sender_rng)
+                        self.network.send(sender, receiver, mask, kind="mask")
+                        added[sender].append(mask)  # Sed
+                        if self.audit is not None:
+                            self.audit.mask_applied(sender, receiver)
+                    metrics.increment(
+                        "crypto.masks_generated", len(self.participants) - 1
+                    )
+                for receiver in self.participants:
+                    for _ in range(len(self.participants) - 1):
+                        mask_message = self.network.receive_message(
+                            receiver, kind="mask"
+                        )
+                        if self._audit_fault == (mask_message.src, receiver):
+                            continue  # injected fault: mask never netted
+                        removed[receiver].append(mask_message.payload)  # Rev
+                        if self.audit is not None:
+                            self.audit.mask_removed(receiver, mask_message.src)
+        else:
+            # PRG mode: pads come from the shared pairwise streams; the
+            # lower-indexed partner adds, the higher-indexed one
+            # subtracts.
+            with tracer.span("crypto.pad_derivation", kind="crypto"):
+                for (a, b), pair_rng in self._pair_rngs.items():
+                    pad = self.codec.random_vector_array(n, pair_rng)
+                    metrics.increment("crypto.masks_generated", 1)
+                    added[a].append(pad)
+                    removed[b].append(pad)
+                    if self.audit is not None:
+                        self.audit.pad_derived(a, b)
+
+        # Step 4: masked shares w_i + Sed_i - Rev_i, each one batched
+        # modular sum, to the Reducer.
+        with tracer.span("crypto.masked_shares", kind="crypto"):
+            for p in self.participants:
+                share = self.codec.sum_arrays([encoded[p], *added[p]], removed[p])
+                self.network.send(p, self.reducer_id, share, kind="masked-share")
+                metrics.increment("crypto.masked_shares_sent", 1)
+                if self.audit is not None:
+                    self.audit.share_sent(p)
+
+        # Step 5: the Reducer sums; the pads cancel telescopically.
+        with tracer.span("crypto.reduce_sum", kind="crypto", node=self.reducer_id):
+            shares: list[ResidueVector] = []
+            for _ in self.participants:
+                message = self.network.receive_message(
+                    self.reducer_id, kind="masked-share"
+                )
+                shares.append(message.payload)
+                if self.audit is not None:
+                    self.audit.share_received(message.src)
+            total = self.codec.sum_arrays(shares)
+        return total
 
 
 class SecureSumAggregator(Aggregator):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.network import Network
-from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import (
     MERSENNE_PRIME_127,
     shamir_lagrange_weights,
@@ -146,78 +146,98 @@ class ThresholdSummationProtocol:
                     threshold=self.threshold,
                     expected_senders=alive,
                 )
-            # Step 1: share each element among all participants.
-            # outgoing[src][dst] = list over elements of that dst's share
-            # value.
-            incoming: dict[str, list[list[int]]] = {p: [] for p in self.participants}
-            with tracer.span("crypto.share_distribution", kind="crypto"):
-                for src in self.participants:
-                    encoded = self.codec.encode_array(values[src])
-                    rng = self._rngs[src]
-                    per_dst: list[list[int]] = [[] for _ in range(n)]
-                    for residue in encoded:
-                        shares = shamir_share(
-                            residue, n, self.threshold, prime=self.prime, rng=rng
-                        )
-                        for j, (_, share_value) in enumerate(shares):
-                            per_dst[j].append(share_value)
-                        metrics.increment("crypto.shamir_shares_generated", n)
-                    for j, dst in enumerate(self.participants):
-                        if dst == src:
-                            incoming[dst].append(per_dst[j])
-                        else:
-                            self.network.send(src, dst, per_dst[j], kind="threshold-share")
-                for dst in self.participants:
-                    for _ in range(n - 1):
-                        incoming[dst].append(
-                            self.network.receive(dst, kind="threshold-share")
-                        )
-
-            # Step 2/3: alive participants aggregate their shares and
-            # forward.  Shamir sharing is linear, so the elementwise sum
-            # of held share vectors — one batched modular sum — is a
-            # share vector of the summed secret.
-            with tracer.span("crypto.share_aggregation", kind="crypto"):
-                for p in alive:
-                    aggregated = self.codec.sum_arrays(incoming[p])
-                    x_coord = self.participants.index(p) + 1
-                    self.network.send(
-                        p, self.reducer_id, (x_coord, aggregated), kind="threshold-agg-share"
-                    )
-                    if self.audit is not None:
-                        self.audit.share_sent(p)
-
-            # Step 4: reconstruct from the first `threshold` aggregated
-            # shares.  The Lagrange-at-zero weights depend only on the
-            # x-coordinates, so they are computed once and applied to the
-            # whole vector as a weighted modular sum — identical residues
-            # to per-element interpolation.
-            with tracer.span(
-                "crypto.shamir_reconstruct", kind="crypto", node=self.reducer_id
-            ):
-                received: list[tuple[int, list[int]]] = []
-                for _ in alive:
-                    message = self.network.receive_message(
-                        self.reducer_id, kind="threshold-agg-share"
-                    )
-                    received.append(message.payload)
-                    if self.audit is not None:
-                        self.audit.share_received(message.src)
-                chosen = received[: self.threshold]
-                weights = shamir_lagrange_weights(
-                    [x for x, _ in chosen], prime=self.prime
-                )
-                totals = self.codec.sum_arrays(
-                    [
-                        [(weight * int(s)) % self.prime for s in share_vec]
-                        for weight, (_, share_vec) in zip(weights, chosen)
-                    ]
-                )
+            try:
+                totals = self._run_round(values, alive)
+            except BaseException:
+                # A failed round (an overflow at encode, a failed node)
+                # must not leave the audit round open for the next one.
+                if self.audit is not None:
+                    self.audit.discard_round()
+                raise
             metrics.increment("crypto.threshold_sum_rounds", 1)
             if self.audit is not None:
-                self.audit.reconstruction(len(chosen), ok=True)
+                self.audit.reconstruction(self.threshold, ok=True)
                 self.audit.end_round()
             return self.codec.decode(totals)
+
+    def _run_round(self, values: dict[str, np.ndarray], alive: list[str]) -> ResidueVector:
+        """Steps 1-4 of one round; returns the reconstructed residues."""
+        metrics = self.network.metrics
+        tracer = self.network.tracer
+        n = len(self.participants)
+        # Step 1: share each element among all participants.
+        # incoming[dst] = one share vector from each participant.
+        incoming: dict[str, list[list[int]]] = {p: [] for p in self.participants}
+        with tracer.span("crypto.share_distribution", kind="crypto"):
+            # Every input is encoded before any share is sent, so an
+            # overflow leaves no message in flight.
+            encoded = {p: self.codec.encode_array(values[p]) for p in self.participants}
+            for src in self.participants:
+                rng = self._rngs[src]
+                per_dst: list[list[int]] = [[] for _ in range(n)]
+                for residue in encoded[src]:
+                    shares = shamir_share(
+                        residue, n, self.threshold, prime=self.prime, rng=rng
+                    )
+                    for j, (_, share_value) in enumerate(shares):
+                        per_dst[j].append(share_value)
+                    metrics.increment("crypto.shamir_shares_generated", n)
+                for j, dst in enumerate(self.participants):
+                    if dst == src:
+                        incoming[dst].append(per_dst[j])
+                    else:
+                        self.network.send(src, dst, per_dst[j], kind="threshold-share")
+            for dst in self.participants:
+                for _ in range(n - 1):
+                    incoming[dst].append(
+                        self.network.receive(dst, kind="threshold-share")
+                    )
+
+        # Step 2/3: alive participants aggregate their shares and
+        # forward.  Shamir sharing is linear, so the elementwise sum
+        # of held share vectors — one batched modular sum — is a
+        # share vector of the summed secret.
+        with tracer.span("crypto.share_aggregation", kind="crypto"):
+            for p in alive:
+                aggregated = self.codec.sum_arrays(
+                    [self._field_vector(shares) for shares in incoming[p]]
+                )
+                x_coord = self.participants.index(p) + 1
+                self.network.send(
+                    p, self.reducer_id, (x_coord, aggregated), kind="threshold-agg-share"
+                )
+                if self.audit is not None:
+                    self.audit.share_sent(p)
+
+        # Step 4: reconstruct from the first `threshold` aggregated
+        # shares.  The Lagrange-at-zero weights depend only on the
+        # x-coordinates, so they are computed once and applied to the
+        # whole vector as a weighted modular sum — identical residues
+        # to per-element interpolation.
+        with tracer.span(
+            "crypto.shamir_reconstruct", kind="crypto", node=self.reducer_id
+        ):
+            received: list[tuple[int, ResidueVector]] = []
+            for _ in alive:
+                message = self.network.receive_message(
+                    self.reducer_id, kind="threshold-agg-share"
+                )
+                received.append(message.payload)
+                if self.audit is not None:
+                    self.audit.share_received(message.src)
+            chosen = received[: self.threshold]
+            weights = shamir_lagrange_weights([x for x, _ in chosen], prime=self.prime)
+            totals = self.codec.sum_arrays(
+                [
+                    self._field_vector([(weight * int(s)) % self.prime for s in share_vec])
+                    for weight, (_, share_vec) in zip(weights, chosen)
+                ]
+            )
+        return totals
+
+    def _field_vector(self, residues: list[int]) -> ResidueVector:
+        """Field elements as an object-dtype residue vector mod the prime."""
+        return ResidueVector(np.array(residues, dtype=object), self.prime)
 
 
 class ThresholdSumAggregator:

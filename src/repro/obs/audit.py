@@ -1,8 +1,7 @@
 """Runtime auditor for the secure aggregation protocols.
 
-The static analysis suite (``repro lint``'s protocol-invariant checker)
-proves properties of the *source*; this module asserts the same
-invariants over a *live execution*.  The crypto paths
+This module asserts the secure aggregation invariants over a *live
+execution*; it is the one place they are checked.  The crypto paths
 (:mod:`repro.crypto.secure_sum`, :mod:`repro.crypto.threshold_sum`)
 feed a :class:`ProtocolAuditLog` as the protocol runs — every mask
 applied and removed, every pairwise pad derivation, every share sent,
@@ -208,6 +207,14 @@ class ProtocolAuditLog:
         record = self._round()
         record.reconstruction_shares = int(n_shares)
         record.reconstruction_ok = bool(ok)
+
+    def discard_round(self) -> None:
+        """Drop the open round, if any, without checking or recording it.
+
+        A protocol calls this when its round raises part-way, so the
+        next ``begin_round`` starts clean.
+        """
+        self._current = None
 
     # -- invariant checks -----------------------------------------------
 

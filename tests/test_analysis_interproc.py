@@ -1,4 +1,4 @@
-"""Tests for the interprocedural engine, protocol checker, and CI infra.
+"""Tests for the interprocedural engine and CI infra.
 
 Covers the whole-program half of the static-analysis suite added on top
 of the per-module checkers:
@@ -6,8 +6,6 @@ of the per-module checkers:
 * call-graph resolution (``repro.analysis.callgraph``);
 * interprocedural taint summaries and source→sink traces
   (``repro.analysis.interproc``);
-* protocol-invariant verification (``checkers/protocol.py``) against
-  both broken fixtures and the real crypto implementations;
 * the CI-grade outputs — SARIF, baselines (``--baseline``), and the
   whole-run result cache — at the API and CLI levels.
 """
@@ -32,7 +30,6 @@ from repro.analysis.baseline import fingerprint
 from repro.analysis.callgraph import MAX_DISPATCH_CANDIDATES, CallGraph
 from repro.analysis.base import Project
 from repro.analysis.checkers.privacy import PrivacyTaintChecker
-from repro.analysis.checkers.protocol import ProtocolInvariantChecker
 from repro.analysis.interproc import InterproceduralTaintChecker
 from repro.analysis.source import ModuleSource
 from repro.cli import main as cli_main
@@ -198,88 +195,6 @@ def test_interproc_trace_serializes_through_finding_roundtrip():
     report = lint_fixture("interproc_leak.py")
     leak = next(f for f in report.findings if f.trace)
     assert Finding.from_dict(leak.as_dict()) == leak
-
-
-# -- protocol invariants --------------------------------------------------
-
-
-def test_protocol_bad_fixture_flags_every_invariant():
-    report = lint_fixture(
-        "crypto/protocol_bad.py", checkers=[ProtocolInvariantChecker()]
-    )
-    assert [(f.rule, f.line) for f in report.findings] == [
-        ("protocol.missing-participant-guard", 9),
-        ("protocol.unbalanced-mask", 25),
-        ("protocol.pair-seed-provenance", 40),
-    ]
-    unbalanced = next(
-        f for f in report.findings if f.rule == "protocol.unbalanced-mask"
-    )
-    assert "+ 2 time(s)" in unbalanced.message
-    assert "- 0 time(s)" in unbalanced.message
-
-
-def test_batched_dropped_rev_fixture_flags_unbalanced_mask():
-    report = lint_fixture(
-        "crypto/protocol_dropped_rev.py", checkers=[ProtocolInvariantChecker()]
-    )
-    assert [(f.rule, f.line) for f in report.findings] == [
-        ("protocol.unbalanced-mask", 28),
-    ]
-    assert "'mask' is applied with + 1 time(s)" in report.findings[0].message
-    assert "- 0 time(s)" in report.findings[0].message
-
-
-def test_real_protocol_with_dropped_rev_is_flagged(tmp_path):
-    # The batched netting must keep the balance rule able to fire on
-    # the real protocol: dropping the received masks is an error.
-    source = (ROOT / "src" / "repro" / "crypto" / "secure_sum.py").read_text()
-    mutated = source.replace(
-        "sum_arrays([encoded[p], *added[p]], removed[p])",
-        "sum_arrays([encoded[p], *added[p]], [])",
-    )
-    assert mutated != source
-    (tmp_path / "crypto").mkdir()
-    (tmp_path / "crypto" / "secure_sum.py").write_text(mutated)
-    report = run_lint(
-        tmp_path,
-        [tmp_path / "crypto" / "secure_sum.py"],
-        checkers=[ProtocolInvariantChecker()],
-        use_default_allowlist=False,
-    )
-    assert {f.rule for f in report.findings} == {"protocol.unbalanced-mask"}
-    assert any("'mask'" in f.message for f in report.findings)
-
-
-def test_protocol_ok_fixture_is_clean():
-    report = lint_fixture(
-        "crypto/protocol_ok.py", checkers=[ProtocolInvariantChecker()]
-    )
-    assert report.findings == []
-
-
-def test_real_summation_protocols_pass_protocol_checker():
-    report = run_lint(
-        ROOT,
-        [ROOT / "src" / "repro" / "crypto"],
-        checkers=[ProtocolInvariantChecker()],
-        use_default_allowlist=False,
-    )
-    assert report.findings == [], report.format_text()
-
-
-def test_protocol_rules_only_apply_in_crypto_scope(tmp_path):
-    src = tmp_path / "not_protocol.py"
-    src.write_text(
-        (FIXTURES / "crypto" / "protocol_bad.py").read_text()
-    )
-    report = run_lint(
-        tmp_path,
-        [src],
-        checkers=[ProtocolInvariantChecker()],
-        use_default_allowlist=False,
-    )
-    assert report.findings == []
 
 
 # -- baselines ------------------------------------------------------------

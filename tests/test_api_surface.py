@@ -17,7 +17,6 @@ MODULES = [
     "repro.cli",
     "repro.cluster",
     "repro.cluster.hdfs",
-    "repro.cluster.mapreduce",
     "repro.cluster.metrics",
     "repro.cluster.network",
     "repro.cluster.profiling",
@@ -36,7 +35,6 @@ MODULES = [
     "repro.core.vertical_kernel",
     "repro.core.vertical_linear",
     "repro.crypto",
-    "repro.crypto.dot_product",
     "repro.crypto.fixed_point",
     "repro.crypto.paillier",
     "repro.crypto.secret_sharing",

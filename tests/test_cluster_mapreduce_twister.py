@@ -1,10 +1,9 @@
-"""Tests for the one-shot MapReduce job and the iterative Twister driver."""
+"""Tests for the iterative Twister driver."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.hdfs import SimulatedHdfs
-from repro.cluster.mapreduce import MapReduceJob, stable_partition_hash
 from repro.cluster.network import Network
 from repro.cluster.twister import (
     ClusterTransport,
@@ -13,81 +12,6 @@ from repro.cluster.twister import (
     IterativeReducer,
     PlaintextAggregator,
 )
-
-
-def word_count_mapper(block):
-    for line in block:
-        for word in line.split():
-            yield word, 1
-
-
-def sum_reducer(key, values):
-    return sum(values)
-
-
-class TestMapReduceJob:
-    def test_word_count(self, cluster):
-        _, hdfs = cluster
-        hdfs.put("docs", [["a b a"], ["b c"], ["a"]])
-        job = MapReduceJob(hdfs, word_count_mapper, sum_reducer)
-        assert job.run("docs") == {"a": 3, "b": 2, "c": 1}
-
-    def test_combiner_reduces_shuffle_bytes(self, network):
-        def build(with_combiner):
-            net = Network()
-            hdfs = SimulatedHdfs(net)
-            for i in range(3):
-                hdfs.add_datanode(f"n{i}")
-            hdfs.put("docs", [["a a a a a a"], ["a a a a"], ["a a"]])
-            job = MapReduceJob(
-                hdfs,
-                word_count_mapper,
-                sum_reducer,
-                combiner=sum_reducer if with_combiner else None,
-            )
-            result = job.run("docs")
-            return result, net.bytes_sent("shuffle")
-
-        plain_result, plain_bytes = build(False)
-        combined_result, combined_bytes = build(True)
-        assert plain_result == combined_result == {"a": 12}
-        assert combined_bytes < plain_bytes
-
-    def test_multiple_reducers_same_answer(self, cluster):
-        _, hdfs = cluster
-        hdfs.put("docs", [["x y"], ["y z"], ["z z"]])
-        job = MapReduceJob(hdfs, word_count_mapper, sum_reducer, n_reducers=3)
-        assert job.run("docs") == {"x": 1, "y": 2, "z": 3}
-
-    def test_map_tasks_counted(self, cluster):
-        network, hdfs = cluster
-        hdfs.put("docs", [["a"], ["b"]])
-        MapReduceJob(hdfs, word_count_mapper, sum_reducer).run("docs")
-        assert network.metrics.get("mapreduce.map_tasks") == 2
-
-    def test_rejects_zero_reducers(self, cluster):
-        _, hdfs = cluster
-        with pytest.raises(ValueError):
-            MapReduceJob(hdfs, word_count_mapper, sum_reducer, n_reducers=0)
-
-    def test_partition_hash_is_process_independent(self):
-        # Regression: the shuffle used builtin hash(), whose str output is
-        # salted per process (PYTHONHASHSEED), so key->reducer assignment
-        # changed between runs.  The stable digest must yield pinned
-        # values that any Python process reproduces.
-        assert stable_partition_hash("alpha") == 4228598614
-        assert stable_partition_hash(("pair", 3)) == 1508792821
-        assert stable_partition_hash("alpha") != stable_partition_hash("beta")
-
-    def test_numeric_aggregation(self, cluster):
-        _, hdfs = cluster
-        hdfs.put("nums", [list(range(10)), list(range(10, 20))])
-        job = MapReduceJob(
-            hdfs,
-            mapper=lambda block: [("sum", v) for v in block],
-            reducer=lambda k, vs: sum(vs),
-        )
-        assert job.run("nums") == {"sum": sum(range(20))}
 
 
 class CountingMapper(IterativeMapper):

@@ -1,12 +1,12 @@
-"""Equivalence tests: vectorized residue backend vs the legacy list path.
+"""Equivalence tests: the packed residue codec vs a Python-int reference.
 
-The vectorized backend (packed ``uint64`` limb arrays, one-block mask
-draws, batched modular sums) must give *identical* residues to the
-per-element Python-int implementation — same residues, same decoded
-floats, same masks from the same generator — for both the default
-power-of-two modulus and an odd prime field.  These tests pin that
-contract; a regression here means protocol transcripts or training
-trajectories silently depend on the backend.
+The codec (packed ``uint64`` limb arrays, one-block mask draws, batched
+modular sums) must give *identical* results to the per-element
+Python-int arithmetic of the codec's former list API, which this file
+keeps as its reference (``reference_*`` below): same residues, same
+decoded floats, same masks from the same generator, for both the
+power-of-two moduli and an odd prime field.  A regression here means
+protocol transcripts or training trajectories have changed.
 """
 
 import pickle
@@ -45,6 +45,37 @@ def reference_random_vector(codec: FixedPointCodec, n: int, rng) -> list[int]:
     return out
 
 
+def reference_encode(codec: FixedPointCodec, values) -> list[int]:
+    """``round(x * 2^f) mod q`` element by element (the legacy list encode)."""
+    return [int(round(float(x) * codec.scale)) % codec.modulus for x in values]
+
+
+def reference_decode(codec: FixedPointCodec, residues: list[int]) -> np.ndarray:
+    """Centered lift, then unscale, element by element (the legacy decode)."""
+    half = codec.modulus >> 1
+    return np.array(
+        [(r - codec.modulus if r >= half else r) / codec.scale for r in residues],
+        dtype=float,
+    )
+
+
+def is_pow2(codec: FixedPointCodec) -> bool:
+    return codec.modulus & (codec.modulus - 1) == 0
+
+
+def pack(codec: FixedPointCodec, residues: list[int]) -> ResidueVector:
+    """Reduced Python-int residues in the codec's packed layout: uint64
+    limbs for ``q = 2^k``, an object-dtype array for odd ``q``."""
+    if not is_pow2(codec):
+        return ResidueVector(np.array(residues, dtype=object), codec.modulus)
+    n_limbs = (codec.modulus_bits + 63) // 64
+    limbs = np.array(
+        [[(r >> (64 * i)) & (2**64 - 1) for i in range(n_limbs)] for r in residues],
+        dtype=np.uint64,
+    ).reshape(-1, n_limbs)
+    return ResidueVector(limbs, codec.modulus)
+
+
 # The first four emit full 64-bit raw words (the ``random_raw`` path);
 # MT19937 emits 32-bit ones and takes the ``integers`` fallback.
 BIT_GENERATORS = [
@@ -70,57 +101,43 @@ def same_state(a, b) -> bool:
 
 
 @pytest.fixture(params=CODEC_CONFIGS)
-def codec_pair(request):
-    """(vectorized, legacy-backend) codecs with identical parameters."""
-    kwargs = dict(request.param)
-    return FixedPointCodec(**kwargs), FixedPointCodec(**kwargs, vectorized=False)
+def codec(request):
+    return FixedPointCodec(**request.param)
 
 
 class TestEncodeDecodeEquivalence:
-    def test_encode_array_matches_legacy_list(self, codec_pair, rng):
-        codec, legacy = codec_pair
+    def test_encode_array_matches_legacy_list(self, codec, rng):
         values = rng.normal(size=257) * min(1.0, codec.max_magnitude / 10)
         values[0] = 0.0
-        expected = codec.encode(values)
-        assert codec.encode_array(values).to_ints() == expected
-        assert legacy.encode_array(values).to_ints() == expected
+        assert codec.encode_array(values).to_ints() == reference_encode(codec, values)
 
-    def test_decode_matches_legacy_on_small_residues(self, codec_pair, rng):
-        codec, legacy = codec_pair
+    def test_decode_matches_legacy_on_small_residues(self, codec, rng):
         values = rng.normal(size=129) * min(1.0, codec.max_magnitude / 10)
-        residues = codec.encode(values)
-        expected = codec.decode(residues)
+        expected = reference_decode(codec, reference_encode(codec, values))
         assert np.array_equal(codec.decode(codec.encode_array(values)), expected)
-        assert np.array_equal(legacy.decode(legacy.encode_array(values)), expected)
 
-    def test_decode_matches_legacy_on_full_range_residues(self, codec_pair):
+    def test_decode_matches_legacy_on_full_range_residues(self, codec):
         # Masked shares are uniform over [0, q): the packed decode must
         # take its exact big-int path, not the single-limb float path.
-        codec, _ = codec_pair
         residues = reference_random_vector(codec, 64, default_rng(5))
-        packed = codec._from_ints(residues)
-        assert np.array_equal(codec.decode(packed), codec.decode(residues))
+        packed = pack(codec, residues)
+        assert np.array_equal(codec.decode(packed), reference_decode(codec, residues))
 
-    def test_roundtrip_is_exact_for_dyadic_values(self, codec_pair):
-        codec, _ = codec_pair
+    def test_roundtrip_is_exact_for_dyadic_values(self, codec):
         values = np.array([0.0, 1.0, -1.0, 0.5, -0.25, 3.75, -100.0])
         assert np.array_equal(codec.decode(codec.encode_array(values)), values)
 
 
 class TestArithmeticEquivalence:
-    def test_add_subtract_match_legacy(self, codec_pair):
-        codec, legacy = codec_pair
+    def test_add_subtract_match_legacy(self, codec):
         a = reference_random_vector(codec, 257, default_rng(1))
         b = reference_random_vector(codec, 257, default_rng(2))
-        add_expected = codec.add(a, b)
-        sub_expected = codec.subtract(a, b)
-        for c in (codec, legacy):
-            va, vb = c._from_ints(a), c._from_ints(b)
-            assert c.add(va, vb).to_ints() == add_expected
-            assert c.subtract(va, vb).to_ints() == sub_expected
+        va, vb = pack(codec, a), pack(codec, b)
+        q = codec.modulus
+        assert codec.add(va, vb).to_ints() == [(x + y) % q for x, y in zip(a, b)]
+        assert codec.subtract(va, vb).to_ints() == [(x - y) % q for x, y in zip(a, b)]
 
-    def test_mask_roundtrip_cancels(self, codec_pair, rng):
-        codec, _ = codec_pair
+    def test_mask_roundtrip_cancels(self, codec, rng):
         values = rng.normal(size=40) * min(1.0, codec.max_magnitude / 10)
         encoded = codec.encode_array(values)
         mask = codec.random_vector_array(40, default_rng(3))
@@ -129,69 +146,66 @@ class TestArithmeticEquivalence:
         assert unmasked == encoded
         assert np.array_equal(codec.decode(unmasked), codec.decode(encoded))
 
-    def test_mixed_operand_types(self, codec_pair):
-        codec, _ = codec_pair
+    def test_mixed_operand_types(self, codec):
+        # Operands are residue vectors only; a plain int list is a
+        # TypeError in either position, never a silent repack.
         ints = reference_random_vector(codec, 9, default_rng(4))
-        packed = codec._from_ints(ints)
-        assert codec.add(packed, ints).to_ints() == codec.add(ints, ints)
-        assert codec.subtract(ints, packed).to_ints() == [0] * 9
+        packed = pack(codec, ints)
+        with pytest.raises(TypeError, match="ResidueVector"):
+            codec.add(packed, ints)
+        with pytest.raises(TypeError, match="ResidueVector"):
+            codec.subtract(ints, packed)
+        assert codec.subtract(packed, packed).to_ints() == [0] * 9
 
-    def test_length_mismatch_rejected(self, codec_pair):
-        codec, _ = codec_pair
+    def test_length_mismatch_rejected(self, codec):
         with pytest.raises(ValueError, match="length"):
             codec.add(codec.zeros_array(1), codec.zeros_array(2))
 
 
 class TestRandomVectorStream:
-    def test_blocked_draw_matches_scalar_stream(self, codec_pair, make_rng):
-        codec, legacy = codec_pair
-        reference, vec_rng, leg_rng = make_rng(7), make_rng(7), make_rng(7)
+    def test_blocked_draw_matches_scalar_stream(self, codec, make_rng):
+        reference, blocked = make_rng(7), make_rng(7)
         for _ in range(3):
             expected = reference_random_vector(codec, 33, reference)
-            assert codec.random_vector_array(33, vec_rng).to_ints() == expected
-            assert legacy.random_vector_array(33, leg_rng).to_ints() == expected
+            assert codec.random_vector_array(33, blocked).to_ints() == expected
         # The generators must leave the stream in the identical state.
-        tail = int(reference.integers(0, 2**63))
-        assert int(vec_rng.integers(0, 2**63)) == tail
-        assert int(leg_rng.integers(0, 2**63)) == tail
+        assert int(blocked.integers(0, 2**63)) == int(reference.integers(0, 2**63))
 
-    def test_blocked_draw_after_interleaved_scalar_draws(self, codec_pair, make_rng):
+    def test_blocked_draw_after_interleaved_scalar_draws(self, codec, make_rng):
         # A pending buffered 32-bit half-word (left by a small-range
         # draw) must not shift the mask words.
-        codec, _ = codec_pair
         reference, blocked = make_rng(11), make_rng(11)
         assert int(reference.integers(0, 2)) == int(blocked.integers(0, 2))
         expected = reference_random_vector(codec, 10, reference)
         assert codec.random_vector_array(10, blocked).to_ints() == expected
         assert int(reference.integers(0, 2)) == int(blocked.integers(0, 2))
 
-    def test_legacy_list_api_unchanged(self, codec_pair):
-        codec, _ = codec_pair
-        assert codec.random_vector(17, default_rng(13)) == reference_random_vector(
-            codec, 17, default_rng(13)
+    def test_legacy_list_api_unchanged(self, codec):
+        # The residues the former list-API ``random_vector(17, rng)``
+        # drew are the ones the packed draw gives.
+        assert codec.random_vector_array(17, default_rng(13)).to_ints() == (
+            reference_random_vector(codec, 17, default_rng(13))
         )
 
-    def test_backends_draw_identical_residues(self, codec_pair, make_rng):
-        codec, legacy = codec_pair
+    def test_backends_draw_identical_residues(self, codec, make_rng):
+        # Both storage layouts (uint64 limbs for q = 2^k, Python ints for
+        # odd q) draw the reference residues.
         packed = codec.random_vector_array(65, make_rng(19))
-        assert packed.to_ints() == legacy.random_vector_array(65, make_rng(19)).to_ints()
+        assert packed.to_ints() == reference_random_vector(codec, 65, make_rng(19))
         assert packed.limbs.dtype == (object if codec.modulus % 2 else np.uint64)
 
-    def test_draw_advances_generator_by_n_times_words(self, codec_pair, make_rng):
+    def test_draw_advances_generator_by_n_times_words(self, codec, make_rng):
         n = 21
-        for c in codec_pair:
-            drawn, reference = make_rng(37), make_rng(37)
-            c.random_vector_array(n, drawn)
-            reference.integers(0, 2**64, size=n * mask_words(c), dtype=np.uint64)
-            assert same_state(drawn.bit_generator.state, reference.bit_generator.state)
+        drawn, reference = make_rng(37), make_rng(37)
+        codec.random_vector_array(n, drawn)
+        reference.integers(0, 2**64, size=n * mask_words(codec), dtype=np.uint64)
+        assert same_state(drawn.bit_generator.state, reference.bit_generator.state)
 
-    def test_values_in_range(self, codec_pair):
-        for c in codec_pair:
-            vec = c.random_vector_array(100, default_rng(17))
-            assert all(0 <= v < c.modulus for v in vec)
+    def test_values_in_range(self, codec):
+        vec = codec.random_vector_array(100, default_rng(17))
+        assert all(0 <= v < codec.modulus for v in vec)
 
-    def test_empty_and_negative(self, codec_pair):
-        codec, _ = codec_pair
+    def test_empty_and_negative(self, codec):
         assert codec.random_vector_array(0, default_rng(0)).to_ints() == []
         with pytest.raises(ValueError, match="non-negative"):
             codec.random_vector_array(-1, default_rng(0))
@@ -217,26 +231,27 @@ class TestSumArrays:
     @pytest.mark.parametrize("with_minus", [False, True], ids=["plus-only", "plus-minus"])
     def test_matches_python_int_reference(self, bits, k, with_minus):
         codec = FixedPointCodec(modulus_bits=bits, fractional_bits=20)
-        legacy = FixedPointCodec(modulus_bits=bits, fractional_bits=20, vectorized=False)
         rng = default_rng(1000 + 10 * k + bits)
         plus = [codec.random_vector_array(31, rng) for _ in range(k)]
         minus = [codec.random_vector_array(31, rng) for _ in range(k)] if with_minus else []
         # Extremes exercise the carry and borrow chains end to end.
-        plus.append(codec._from_ints([codec.modulus - 1] * 31))
+        plus.append(pack(codec, [codec.modulus - 1] * 31))
         if with_minus:
-            minus.append(codec._from_ints([codec.modulus - 1] * 30 + [1]))
+            minus.append(pack(codec, [codec.modulus - 1] * 30 + [1]))
         expected = reference_sum(
             [v.to_ints() for v in plus], [v.to_ints() for v in minus], codec.modulus
         )
         assert codec.sum_arrays(plus, minus).to_ints() == expected
-        assert legacy.sum_arrays(plus, minus).to_ints() == expected
 
     def test_prime_modulus_and_list_operands(self):
+        # Int lists wrapped as object-dtype vectors, the way the Shamir
+        # threshold sum wraps its per-peer share lists.
         codec = FixedPointCodec(modulus=MERSENNE_PRIME_127)
         rng = default_rng(3)
         a, b, c = (reference_random_vector(codec, 12, rng) for _ in range(3))
         expected = reference_sum([a, b], [c], codec.modulus)
-        assert codec.sum_arrays([a, codec._from_ints(b)], [c]).to_ints() == expected
+        total = codec.sum_arrays([pack(codec, a), pack(codec, b)], [pack(codec, c)])
+        assert total.to_ints() == expected
 
     def test_only_minus_operands_negate(self):
         codec = FixedPointCodec()
@@ -253,10 +268,6 @@ class TestSumArrays:
 
 class TestSumArraysContract:
     """``sum_arrays`` vs a Python-int reference on every codec config."""
-
-    @pytest.fixture
-    def codec(self, codec_pair):
-        return codec_pair[0]
 
     def vectors(self, codec, count, n=11, seed=0):
         rng = default_rng(seed)
@@ -277,19 +288,23 @@ class TestSumArraysContract:
         assert codec.sum_arrays(plus, minus).to_ints() == expected
 
     def test_plain_int_list_operands(self, codec):
+        # Plain int lists are rejected in either operand list; packed
+        # vectors rebuilt from the same ints sum like the originals.
         a, b, c = self.vectors(codec, 3, seed=2)
         expected = reference_sum([a.to_ints(), b.to_ints()], [c.to_ints()], codec.modulus)
-        # Unreduced and negative ints are taken mod q, like residues.
-        shifted = [x - codec.modulus for x in c.to_ints()]
-        assert codec.sum_arrays([a.to_ints(), b], [shifted]).to_ints() == expected
-        assert codec.sum_arrays([a, b.to_ints()], [c.to_ints()]).to_ints() == expected
+        with pytest.raises(TypeError, match="ResidueVector"):
+            codec.sum_arrays([a.to_ints(), b], [c])
+        with pytest.raises(TypeError, match="ResidueVector"):
+            codec.sum_arrays([a, b], [c.to_ints()])
+        repacked = [pack(codec, v.to_ints()) for v in (a, b, c)]
+        assert codec.sum_arrays(repacked[:2], repacked[2:]).to_ints() == expected
 
     def test_length_and_modulus_mismatch_raise(self, codec):
         a, b = self.vectors(codec, 2)
         with pytest.raises(ValueError, match="length mismatch"):
             codec.sum_arrays([a], [b[:10]])
         with pytest.raises(ValueError, match="length mismatch"):
-            codec.sum_arrays([a, b.to_ints()[:3]])
+            codec.sum_arrays([a, b[:3]])
         foreign = FixedPointCodec(modulus=codec.modulus * 2 + 1).random_vector_array(
             11, default_rng(3)
         )
@@ -303,10 +318,10 @@ class TestSumArraysContract:
         # Read-only limbs from the wire form, and row-slice views of one
         # stacked vector, as the protocol passes them.
         wire = [pickle.loads(pickle.dumps(v)) for v in vecs[:3]]
-        stacked = codec._from_ints([x for v in vecs[3:] for x in v.to_ints()])
+        stacked = pack(codec, [x for v in vecs[3:] for x in v.to_ints()])
         views = [stacked[i * 11 : (i + 1) * 11] for i in range(3)]
         before = [v.limbs.copy() for v in wire + views]
-        if codec._use_limbs():
+        if is_pow2(codec):
             assert not any(v.limbs.flags.writeable for v in wire)
         for plus, minus in [(wire, views), (views, wire), (views[:1], []), ([], wire)]:
             total = codec.sum_arrays(plus, minus)
@@ -323,12 +338,11 @@ class TestOneWordKernels:
     """Rings of at most 64 bits: native int64/uint64 encode, decode, sum."""
 
     @pytest.fixture(params=[64, 60, 50], ids=lambda bits: f"q=2^{bits}")
-    def one_word_pair(self, request):
-        kwargs = {"modulus_bits": request.param, "max_terms": 8}
-        return FixedPointCodec(**kwargs), FixedPointCodec(**kwargs, vectorized=False)
+    def one_word(self, request):
+        return FixedPointCodec(modulus_bits=request.param, max_terms=8)
 
-    def test_encode_decode_match_legacy_bit_for_bit(self, one_word_pair):
-        codec, legacy = one_word_pair
+    def test_encode_decode_match_legacy_bit_for_bit(self, one_word):
+        codec = one_word
         bound, ulp = codec.max_magnitude * 0.99, 2.0**-codec.fractional_bits
         values = np.array(
             [0.0, -0.0, bound, -bound, 3.7, -3.7]
@@ -336,57 +350,55 @@ class TestOneWordKernels:
         )
         packed = codec.encode_array(values)
         assert packed.limbs.shape == (len(values), 1)
-        assert packed.to_ints() == legacy.encode_array(values).to_ints() == codec.encode(values)
+        assert packed.to_ints() == reference_encode(codec, values)
         decoded = codec.decode(packed)
-        assert np.array_equal(decoded, codec.decode(packed.to_ints()))
-        assert np.array_equal(np.signbit(decoded), np.signbit(codec.decode(packed.to_ints())))
+        expected = reference_decode(codec, packed.to_ints())
+        assert np.array_equal(decoded, expected)
+        assert np.array_equal(np.signbit(decoded), np.signbit(expected))
 
-    def test_decode_across_the_sign_boundary(self, one_word_pair):
-        codec, _ = one_word_pair
+    def test_decode_across_the_sign_boundary(self, one_word):
+        codec = one_word
         q, half = codec.modulus, codec.modulus // 2
         residues = [0, 1, half - 2, half - 1, half, half + 1, q - 2, q - 1]
-        packed = codec._from_ints(residues)
-        assert np.array_equal(codec.decode(packed), codec.decode(residues))
+        packed = pack(codec, residues)
+        assert np.array_equal(codec.decode(packed), reference_decode(codec, residues))
 
-    def test_overflow_names_the_ring_and_bound(self, one_word_pair):
-        codec, _ = one_word_pair
+    def test_overflow_names_the_ring_and_bound(self, one_word):
+        codec = one_word
         message = f"bound {codec.max_magnitude:g} of the ring Z_q, q = 2^{codec.modulus_bits}"
         with pytest.raises(OverflowError, match=re.escape(message)):
             codec.encode_array([0.0, -codec.max_magnitude])
 
 
 class TestResidueVectorContainer:
-    def test_iter_getitem_len_eq(self, codec_pair):
-        codec, legacy = codec_pair
+    def test_iter_getitem_len_eq(self, codec):
         ints = reference_random_vector(codec, 12, default_rng(29))
-        packed = codec._from_ints(ints)
-        other = legacy._from_ints(ints)
+        packed = pack(codec, ints)
+        other = ResidueVector(np.array(ints, dtype=object), codec.modulus)
         assert len(packed) == 12
         assert [int(v) for v in packed] == ints
         assert [packed[i] for i in range(12)] == ints
         # Equality is value-based, independent of the backing layout.
         assert packed == other
-        assert packed != codec._from_ints([(v + 1) % codec.modulus for v in ints])
+        assert packed != pack(codec, [(v + 1) % codec.modulus for v in ints])
 
-    def test_slice_is_a_residue_vector_view(self, codec_pair):
-        codec, legacy = codec_pair
+    def test_slice_is_a_residue_vector_view(self, codec):
         ints = reference_random_vector(codec, 12, default_rng(30))
-        for packed in (codec._from_ints(ints), legacy._from_ints(ints)):
-            head = packed[:2]
-            assert isinstance(head, ResidueVector)
-            assert head.modulus == packed.modulus
-            assert [int(v) for v in head] == ints[:2]
-            assert packed[3:9:2].to_ints() == ints[3:9:2]
-            assert packed[-1:].to_ints() == ints[-1:]
-            assert len(packed[5:5]) == 0
-            assert np.shares_memory(packed[4:8].limbs, packed.limbs)
-            # A slice is a full operand: sums and decodes like any vector.
-            assert codec.sum_arrays([packed[:6]], [packed[6:]]).to_ints() == [
-                (x - y) % codec.modulus for x, y in zip(ints[:6], ints[6:])
-            ]
+        packed = pack(codec, ints)
+        head = packed[:2]
+        assert isinstance(head, ResidueVector)
+        assert head.modulus == packed.modulus
+        assert [int(v) for v in head] == ints[:2]
+        assert packed[3:9:2].to_ints() == ints[3:9:2]
+        assert packed[-1:].to_ints() == ints[-1:]
+        assert len(packed[5:5]) == 0
+        assert np.shares_memory(packed[4:8].limbs, packed.limbs)
+        # A slice is a full operand: sums and decodes like any vector.
+        assert codec.sum_arrays([packed[:6]], [packed[6:]]).to_ints() == [
+            (x - y) % codec.modulus for x, y in zip(ints[:6], ints[6:])
+        ]
 
-    def test_pickle_roundtrip(self, codec_pair):
-        codec, _ = codec_pair
+    def test_pickle_roundtrip(self, codec):
         vec = codec.random_vector_array(20, default_rng(31))
         restored = pickle.loads(pickle.dumps(vec))
         assert isinstance(restored, ResidueVector)

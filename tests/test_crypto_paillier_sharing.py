@@ -1,10 +1,8 @@
-"""Tests for Paillier, secret sharing, and the secure dot product."""
+"""Tests for Paillier and secret sharing."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.network import Network
-from repro.crypto.dot_product import secure_dot_product
 from repro.crypto.paillier import PaillierKeyPair, is_probable_prime
 from repro.crypto.secret_sharing import (
     MERSENNE_PRIME_127,
@@ -151,34 +149,3 @@ class TestShamir:
         with pytest.raises(ValueError):
             shamir_share(1, 3, 0)
 
-
-class TestSecureDotProduct:
-    def test_shares_sum_to_dot_product(self, keypair, rng):
-        a = [3, -4, 5, 0]
-        b = [10, 2, -7, 9]
-        result = secure_dot_product(a, b, keypair=keypair, seed=rng)
-        assert result.total == int(np.dot(a, b))
-
-    def test_individual_shares_hide_result(self, keypair, rng):
-        result = secure_dot_product([1, 2], [3, 4], keypair=keypair, seed=rng, mask_bits=80)
-        assert abs(result.alice_share) > 2**60  # masked by ~80-bit r
-        assert result.total == 11
-
-    def test_network_accounting(self, keypair):
-        network = Network()
-        secure_dot_product([1, 2, 3], [4, 5, 6], keypair=keypair, network=network, seed=0)
-        assert network.messages_sent("secure-dot-product") == 2
-        assert network.metrics.get("crypto.secure_dot_products") == 1
-        assert network.metrics.get("crypto.paillier_ops") > 0
-
-    def test_length_mismatch(self, keypair):
-        with pytest.raises(ValueError):
-            secure_dot_product([1], [1, 2], keypair=keypair)
-
-    def test_empty_vectors_rejected(self, keypair):
-        with pytest.raises(ValueError):
-            secure_dot_product([], [], keypair=keypair)
-
-    def test_zero_vector(self, keypair, rng):
-        result = secure_dot_product([0, 0], [5, 7], keypair=keypair, seed=rng)
-        assert result.total == 0

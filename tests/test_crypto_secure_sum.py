@@ -50,12 +50,20 @@ class TestCorrectness:
 class TestBatchedNetting:
     """Each participant nets its pads in one batched modular sum."""
 
-    @pytest.mark.parametrize("vectorized", [True, False], ids=["packed", "legacy"])
+    # "packed": the codec's default 128-bit ring (two uint64 limbs);
+    # "one-word": the trainer's 64-bit ring (native one-word kernels);
+    # "legacy": the object-dtype Python-int path, which
+    # ``vectorized=False`` used to force and odd moduli still take.
+    @pytest.mark.parametrize(
+        "ring",
+        [{"modulus_bits": 128}, {"modulus": MERSENNE_PRIME_127}, {"modulus_bits": 64}],
+        ids=["packed", "legacy", "one-word"],
+    )
     @pytest.mark.parametrize("n_participants", [2, 3, 8])
     @pytest.mark.parametrize("mode", ["fresh", "prg"])
-    def test_equals_plaintext_sum(self, mode, n_participants, vectorized, rng):
+    def test_equals_plaintext_sum(self, mode, n_participants, ring, rng):
         participants = [f"m{i}" for i in range(n_participants)]
-        codec = FixedPointCodec(max_terms=n_participants, vectorized=vectorized)
+        codec = FixedPointCodec(max_terms=n_participants, **ring)
         protocol = SecureSummationProtocol(
             Network(), participants, "red", codec=codec, mode=mode, seed=1
         )
@@ -196,7 +204,7 @@ class TestMaskingHidesValues:
         codec = protocol.codec
         for message in network.message_log:
             if message.kind == "masked-share":
-                decoded = codec.decode([int(v) for v in message.payload])
+                decoded = codec.decode(message.payload)
                 # A masked share should decode to astronomically large
                 # junk, never to anything near the true value 7.
                 assert np.all(np.abs(decoded - 7.0) > 1e6)
@@ -228,6 +236,30 @@ class TestMaskingHidesValues:
         total_b, shares_b = wire_view()
         np.testing.assert_allclose(total_a, total_b)
         assert shares_a == shares_b
+
+
+class TestFailedRound:
+    @pytest.mark.parametrize("mode", ["fresh", "prg"])
+    def test_overflowing_round_leaves_no_audit_round_open(self, mode, rng):
+        # The overflow propagates unchanged, and the next round runs
+        # with a clean audit instead of raising "never closed".
+        audit = ProtocolAuditLog()
+        network = Network()
+        participants = [f"m{i}" for i in range(3)]
+        codec = FixedPointCodec(modulus_bits=64, max_terms=3)
+        protocol = SecureSummationProtocol(
+            network, participants, "red", codec=codec, mode=mode, seed=0, audit=audit
+        )
+        values = {p: rng.normal(size=4) for p in participants}
+        values["m2"] = np.full(4, 2.0 * codec.max_magnitude)
+        with pytest.raises(OverflowError, match="overflow-safe bound"):
+            protocol.sum_vectors(values)
+        values["m2"] = rng.normal(size=4)
+        np.testing.assert_allclose(
+            protocol.sum_vectors(values), sum(values.values()), atol=1e-9
+        )
+        assert audit.ok
+        assert [r.protocol for r in audit.rounds] == ["secure-sum"]
 
 
 class TestValidation:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.network import Network
-from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 from repro.crypto.secure_sum import SecureSummationProtocol
 from repro.crypto.threshold_sum import ThresholdSummationProtocol
+from repro.obs.audit import ProtocolAuditLog
 
 
 def make_protocol(n=5, threshold=3, seed=0):
@@ -42,9 +43,7 @@ class TestCorrectness:
         values = {p: rng.normal(size=3) for p in participants}
         protocol.sum_vectors(values)
         shares = [m.payload for m in network.message_log if m.kind == "masked-share"]
-        partial = [0] * 3
-        for share in shares[:-1]:  # one mapper crashed before sending
-            partial = protocol.codec.add(partial, share)
+        partial = protocol.codec.sum_arrays(shares[:-1])  # one mapper crashed
         decoded = protocol.codec.decode(partial)
         assert np.max(np.abs(decoded - sum(values.values()))) > 1e6
 
@@ -61,6 +60,33 @@ class TestCorrectness:
 
 
 class TestRobustnessLimits:
+    def test_needs_two_participants(self):
+        with pytest.raises(ValueError, match="at least 2 participants"):
+            ThresholdSummationProtocol(Network(), ["only"], "red")
+        with pytest.raises(ValueError, match="at least 2 participants"):
+            ThresholdSummationProtocol(Network(), [], "red")
+
+    def test_failed_round_leaves_no_audit_round_open(self, rng):
+        # Only the last participant overflows: no share of the failed
+        # round may reach a peer, and the audit starts the next round
+        # clean instead of raising "never closed".
+        audit = ProtocolAuditLog()
+        network = Network()
+        participants = [f"m{i}" for i in range(4)]
+        protocol = ThresholdSummationProtocol(
+            network, participants, "red", threshold=3, seed=0, audit=audit
+        )
+        values = {p: rng.normal(size=3) for p in participants}
+        values["m3"] = np.full(3, 2.0 * protocol.codec.max_magnitude)
+        with pytest.raises(OverflowError, match="overflow-safe bound"):
+            protocol.sum_vectors(values)
+        assert network.messages_sent() == 0
+        values["m3"] = rng.normal(size=3)
+        result = protocol.sum_vectors(values, dropouts={"m1"})
+        np.testing.assert_allclose(result, sum(values.values()), atol=1e-8)
+        assert audit.ok
+        assert [r.protocol for r in audit.rounds] == ["threshold-sum"]
+
     def test_too_many_dropouts_rejected(self, rng):
         _, participants, protocol = make_protocol(n=5, threshold=4)
         values = {p: rng.normal(size=2) for p in participants}
@@ -104,7 +130,8 @@ class TestPrivacyShape:
         protocol.sum_vectors(values)
         # A single peer-to-peer share decodes to garbage.
         peer_shares = [m for m in network.message_log if m.kind == "threshold-share"]
-        decoded = protocol.codec.decode([int(v) for v in peer_shares[0].payload])
+        share = ResidueVector(np.array(peer_shares[0].payload, dtype=object), protocol.prime)
+        decoded = protocol.codec.decode(share)
         assert np.max(np.abs(decoded - 5.0)) > 1e6
 
     def test_below_threshold_shares_insufficient(self, rng):
@@ -117,7 +144,10 @@ class TestPrivacyShape:
         from repro.crypto.secret_sharing import shamir_reconstruct
 
         points = [(x, shares[0]) for x, shares in agg[:2]]  # only 2 of 3
-        wrong = protocol.codec.decode([shamir_reconstruct(points, prime=protocol.prime)])
+        secret = shamir_reconstruct(points, prime=protocol.prime)
+        wrong = protocol.codec.decode(
+            ResidueVector(np.array([secret], dtype=object), protocol.prime)
+        )
         assert abs(float(wrong[0]) - expected) > 1e-6
 
 

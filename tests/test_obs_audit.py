@@ -122,6 +122,17 @@ class TestRoundFeed:
         with pytest.raises(RuntimeError, match="never closed"):
             log.begin_round("secure-sum", ["m0", "m1"])
 
+    def test_discarded_round_is_neither_checked_nor_recorded(self):
+        log = ProtocolAuditLog()
+        log.begin_round("secure-sum", ["m0", "m1"])
+        log.mask_applied("m0", "m1")  # half a round: unbalanced
+        log.discard_round()
+        log.discard_round()  # no open round: a no-op
+        record = _clean_masked_round(log)
+        assert log.rounds == [record]
+        assert record.round_index == 0
+        assert log.ok
+
     def test_counters_and_events_emitted(self):
         profiler = Profiler()
         log = ProtocolAuditLog(metrics=profiler, tracer=profiler.tracer)

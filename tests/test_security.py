@@ -92,6 +92,24 @@ class TestCoalitionRecovery:
         with pytest.raises(ValueError, match="honest"):
             coalition_recovery_attempt(view, "m0", participants, protocol.codec)
 
+    def test_codec_of_another_ring_is_rejected(self, rng):
+        # A 64-bit run attacked with the 128-bit default codec used to
+        # decode to a wrong estimate (~1.7e7 for a value near 0.1); the
+        # netting now checks the wire's ring and refuses.
+        network = Network()
+        participants = ["a", "b", "c"]
+        codec = FixedPointCodec(modulus_bits=64, max_terms=3)
+        protocol = SecureSummationProtocol(
+            network, participants, "reducer", codec=codec, seed=5
+        )
+        values = {p: rng.normal(size=2) for p in participants}
+        protocol.sum_vectors(values)
+        view = coalition_view(network, ["b", "c"])
+        with pytest.raises(ValueError, match="modulus"):
+            coalition_recovery_attempt(view, "a", participants, FixedPointCodec())
+        result = coalition_recovery_attempt(view, "a", participants, codec)
+        np.testing.assert_allclose(result.estimate, values["a"], atol=1e-9)
+
     def test_multi_round_attack_targets_chosen_round(self, rng):
         network = Network()
         participants = ["a", "b", "c"]

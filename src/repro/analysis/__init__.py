@@ -25,15 +25,13 @@ Entry points: :func:`~repro.analysis.engine.run_lint` (programmatic)
 and ``repro lint`` (CLI).  Suppression: ``# repro-lint: disable=RULE``
 pragmas, the ``.repro-lint.toml`` allowlist, and
 :mod:`~repro.analysis.baseline` snapshots (``--baseline``) — see
-``docs/STATIC_ANALYSIS.md`` for the rule registry.  CI hooks: SARIF
-output (``--format sarif``) and the whole-run result cache
-(:mod:`~repro.analysis.cache`).
+``docs/STATIC_ANALYSIS.md`` for the rule registry.  CI hook: SARIF
+output (``--format sarif``).
 """
 
 from repro.analysis.allowlist import Allowlist, AllowlistEntry, AllowlistError
 from repro.analysis.base import Checker, ModuleChecker, Project
 from repro.analysis.baseline import Baseline, BaselineError
-from repro.analysis.cache import LintCache
 from repro.analysis.engine import LintReport, all_rules, default_checkers, run_lint
 from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.source import ModuleSource
@@ -46,7 +44,6 @@ __all__ = [
     "BaselineError",
     "Checker",
     "Finding",
-    "LintCache",
     "LintReport",
     "ModuleChecker",
     "ModuleSource",

@@ -51,7 +51,6 @@ class Baseline:
     """A set of known findings, matched by fingerprint with multiplicity."""
 
     counts: dict[str, int] = field(default_factory=dict)
-    path: str = ""
     #: Remaining unconsumed occurrences (reset per run via :meth:`fresh`).
     _remaining: dict[str, int] = field(default_factory=dict, repr=False)
 
@@ -87,7 +86,7 @@ class Baseline:
             raise BaselineError(
                 f"{path}: 'fingerprints' must map strings to positive counts"
             )
-        return cls(counts=dict(raw), path=str(path))
+        return cls(counts=dict(raw))
 
     def write(self, path: Path) -> None:
         """Serialize to ``path`` (sorted, so baselines diff cleanly)."""
@@ -99,7 +98,7 @@ class Baseline:
 
     def fresh(self) -> "Baseline":
         """A copy with the per-run consumption state reset."""
-        return Baseline(counts=dict(self.counts), path=self.path)
+        return Baseline(counts=dict(self.counts))
 
     def consume(self, finding: Finding) -> bool:
         """Whether ``finding`` is covered (uses up one occurrence)."""

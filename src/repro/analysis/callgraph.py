@@ -28,6 +28,9 @@ Resolution is name-based and deliberately conservative:
   false positives, so such calls fall back to the intraprocedural
   argument rule).
 
+``@overload`` stubs are not indexed: only the implementation runs, so
+only it has a summary.
+
 Known sink methods (``send`` / ``broadcast`` / ``put``) and container
 mutators are never resolved: sinks are handled at the call site by the
 sink scan, and resolving e.g. ``list.append`` to an unrelated project
@@ -40,7 +43,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.base import Project
-from repro.analysis.checkers.privacy import MUTATOR_CALLS, _call_name
+from repro.analysis.checkers.privacy import MUTATOR_CALLS, _call_name, _dotted_name
 from repro.analysis.source import ModuleSource
 
 __all__ = ["CallGraph", "FunctionInfo", "MAX_DISPATCH_CANDIDATES"]
@@ -54,9 +57,13 @@ UNRESOLVED_NAMES = frozenset({"send", "broadcast", "put", "receive"}) | MUTATOR_
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctionInfo:
     """One indexed function or method definition.
+
+    Instances compare and hash by identity, so per-function state can be
+    keyed on the definition itself: a property getter and its setter
+    share a ``qualname`` but are two definitions.
 
     Attributes
     ----------
@@ -90,6 +97,12 @@ class FunctionInfo:
     @property
     def relpath(self) -> str:
         return self.module.relpath
+
+    @property
+    def statements(self) -> list[ast.AST]:
+        """The body's nodes outside nested scopes (see
+        :meth:`ModuleSource.statements`)."""
+        return self.module.statements(self.node)
 
 
 def _positional_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -168,6 +181,9 @@ class CallGraph:
         node: ast.FunctionDef | ast.AsyncFunctionDef,
         cls_name: str | None,
     ) -> None:
+        decorators = {_dotted_name(dec) for dec in node.decorator_list}
+        if decorators & {"overload", "typing.overload"}:
+            return  # a stub; only the implementation runs
         prefix = f"{cls_name}." if cls_name else ""
         info = FunctionInfo(
             qualname=f"{module.relpath}::{prefix}{node.name}",

@@ -16,9 +16,9 @@ import ast
 from typing import Iterator
 
 from repro.analysis.base import ModuleChecker
-from repro.analysis.checkers.privacy import _call_name, _dotted_name, _scope_statements
+from repro.analysis.checkers.privacy import _call_name, _dotted_name
 from repro.analysis.findings import Finding, Rule, Severity
-from repro.analysis.source import ModuleSource
+from repro.analysis.source import ModuleSource, _scope_statements
 
 __all__ = ["CryptoMisuseChecker", "is_crypto_scope"]
 

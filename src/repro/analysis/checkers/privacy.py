@@ -38,7 +38,7 @@ from typing import Iterator
 
 from repro.analysis.base import ModuleChecker
 from repro.analysis.findings import Finding, Rule, Severity
-from repro.analysis.source import ModuleSource
+from repro.analysis.source import _SCOPE_NODES, ModuleSource
 
 __all__ = ["PrivacyTaintChecker"]
 
@@ -84,7 +84,11 @@ SERIALIZERS = frozenset(
      "marshal.dumps", "np.save", "np.savez", "numpy.save", "numpy.savez"}
 )
 
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: Statements whose effect can taint a name: all the fixpoint visits.
+_EFFECT_NODES = (
+    ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr, ast.For,
+    ast.AsyncFor, ast.With, ast.AsyncWith, ast.Expr,
+)
 
 
 def _dotted_name(node: ast.AST) -> str | None:
@@ -109,22 +113,15 @@ def _call_name(call: ast.Call) -> str:
     return ""
 
 
-def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested scopes or lambdas."""
-    stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _SCOPE_NODES + (ast.Lambda,)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 class _ScopeTaint:
-    """Fixpoint taint state for one scope (module, class body, function)."""
+    """Fixpoint taint state for one scope (module, class body, function).
 
-    def __init__(self, scope: ast.AST) -> None:
-        self.scope = scope
+    ``statements`` is the scope's :meth:`ModuleSource.statements` list,
+    shared by every fixpoint and sink scan over the scope.
+    """
+
+    def __init__(self, statements: list[ast.AST]) -> None:
+        self.statements = statements
         self.tainted: set[str] = set()
 
     # -- expression taint ----------------------------------------------
@@ -207,9 +204,10 @@ class _ScopeTaint:
 
     def run_fixpoint(self, max_rounds: int = 12) -> None:
         """Iterate assignment/mutation effects until the state is stable."""
+        effects = [node for node in self.statements if isinstance(node, _EFFECT_NODES)]
         for _ in range(max_rounds):
             changed = False
-            for node in _scope_statements(self.scope):
+            for node in effects:
                 if isinstance(node, ast.Assign):
                     if self.expr_tainted(node.value):
                         for target in node.targets:
@@ -259,6 +257,37 @@ def _keyword_is_true(call: ast.Call, keyword: str) -> bool:
     return False
 
 
+def sink_calls(
+    statements: list[ast.AST],
+) -> Iterator[tuple[ast.Call, str, str, ast.AST | None]]:
+    """Every call in ``statements`` as ``(call, kind, name, payload)``.
+
+    ``kind`` is ``"network"`` for ``send``/``broadcast``, ``"storage"``
+    for ``put``, ``"serialize"`` for :data:`SERIALIZERS` and ``""`` for
+    any other call.  ``name`` is the call's trailing name, dotted for
+    serializers.  ``payload`` is the argument a sink would leak; it is
+    ``None`` for other calls, for a sink called without one, and for a
+    ``put(..., private=True)``.
+    """
+    for node in statements:
+        if not isinstance(node, ast.Call):
+            continue
+        name = _call_name(node)
+        if name in ("send", "broadcast"):
+            yield node, "network", name, _payload_argument(node, 2, "payload")
+        elif name == "put":
+            parts = None
+            if not _keyword_is_true(node, "private"):
+                parts = _payload_argument(node, 1, "parts")
+            yield node, "storage", name, parts
+        else:
+            dotted = _dotted_name(node.func) or ""
+            if dotted in SERIALIZERS:
+                yield node, "serialize", dotted, node.args[0] if node.args else None
+            else:
+                yield node, "", name, None
+
+
 class PrivacyTaintChecker(ModuleChecker):
     """Flags raw training data flowing into network/storage/serialization."""
 
@@ -295,47 +324,24 @@ class PrivacyTaintChecker(ModuleChecker):
             node for node in ast.walk(module.tree) if isinstance(node, _SCOPE_NODES)
         )
         for scope in scopes:
-            state = _ScopeTaint(scope)
+            statements = module.statements(scope)
+            state = _ScopeTaint(statements)
             state.run_fixpoint()
-            yield from self._scan_sinks(module, scope, state)
-
-    def _scan_sinks(
-        self, module: ModuleSource, scope: ast.AST, state: _ScopeTaint
-    ) -> Iterator[Finding]:
-        for node in _scope_statements(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name in ("send", "broadcast"):
-                payload = _payload_argument(node, 2, "payload")
-                if payload is not None and state.expr_tainted(payload):
-                    yield self.finding(
+            for call, kind, name, payload in sink_calls(statements):
+                if payload is None or not state.expr_tainted(payload):
+                    continue
+                rule, message = {
+                    "network": (
                         "privacy.raw-data-to-network",
-                        module,
-                        node.lineno,
                         f"payload of .{name}() is derived from raw training data",
-                    )
-            elif name == "put":
-                parts = _payload_argument(node, 1, "parts")
-                if (
-                    parts is not None
-                    and state.expr_tainted(parts)
-                    and not _keyword_is_true(node, "private")
-                ):
-                    yield self.finding(
+                    ),
+                    "storage": (
                         "privacy.raw-data-in-storage",
-                        module,
-                        node.lineno,
                         "raw training data written to HDFS without private=True",
-                    )
-            else:
-                dotted = _dotted_name(node.func) or ""
-                if dotted in SERIALIZERS and node.args and state.expr_tainted(
-                    node.args[0]
-                ):
-                    yield self.finding(
+                    ),
+                    "serialize": (
                         "privacy.raw-data-serialized",
-                        module,
-                        node.lineno,
-                        f"raw training data passed to {dotted}()",
-                    )
+                        f"raw training data passed to {name}()",
+                    ),
+                }[kind]
+                yield self.finding(rule, module, call.lineno, message)

@@ -15,10 +15,6 @@ CLI, the test suite, and CI.  It
 5. reports allowlist entries that matched nothing
    (``lint.unused-allowlist-entry``) so dead exceptions are cleaned up.
 
-With a :class:`~repro.analysis.cache.LintCache`, the whole run is
-keyed on its observable inputs and served from the previous result
-when nothing changed.
-
 Exit-code policy lives in :meth:`LintReport.exit_code`: ERROR findings
 always fail; WARNING findings fail only under ``--strict``.
 """
@@ -35,7 +31,6 @@ from repro.analysis.allowlist import (
 )
 from repro.analysis.base import Checker, Project
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import LintCache
 from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.source import ModuleSource
 
@@ -94,9 +89,6 @@ class LintReport:
     rules_run: int = 0
     #: Every rule the run could have emitted (drives SARIF metadata).
     rules: list[Rule] = field(default_factory=list)
-    #: "hit" when served from the result cache, "miss" after a cached
-    #: run, "" when no cache was in play.
-    cache_status: str = ""
 
     def errors(self) -> list[Finding]:
         """Active findings with ERROR severity."""
@@ -139,8 +131,6 @@ class LintReport:
             f"{len(self.suppressed)} suppressed, {self.files_checked} file(s) "
             f"checked, {self.rules_run} rule(s)"
         )
-        if self.cache_status:
-            summary += f" [cache {self.cache_status}]"
         lines.append(summary)
         return "\n".join(lines)
 
@@ -281,7 +271,6 @@ def run_lint(
     allowlist: Allowlist | None = None,
     use_default_allowlist: bool = True,
     baseline: Baseline | None = None,
-    cache: LintCache | None = None,
 ) -> LintReport:
     """Lint ``paths`` (default: ``root/src``) and return the report.
 
@@ -303,10 +292,6 @@ def run_lint(
     baseline:
         Known findings to suppress (diff mode, ``--baseline``);
         suppressed occurrences carry ``suppressed_by="baseline"``.
-    cache:
-        Whole-run result cache (``--cache``).  A hit skips the run
-        entirely; any change to the linted files, the rule set, the
-        allowlist, the baseline, or the checker-read docs misses.
     """
     root = root.resolve()
     if paths is None:
@@ -320,36 +305,11 @@ def run_lint(
     if baseline is not None:
         baseline = baseline.fresh()
 
-    collected = _collect_files(list(paths))
-    run_rules = all_rules(checkers)
-
-    cache_key: str | None = None
-    if cache is not None:
-        cache_key = cache.key_for(
-            root=root,
-            files=collected,
-            rule_ids=[rule.id for rule in run_rules],
-            extra_paths=[
-                Path(allowlist.path) if allowlist is not None else None,
-                Path(baseline.path) if baseline is not None and baseline.path else None,
-            ],
-        )
-        payload = cache.lookup(cache_key)
-        if payload is not None:
-            return LintReport(
-                findings=LintCache.decode_findings(payload, "findings"),
-                suppressed=LintCache.decode_findings(payload, "suppressed"),
-                files_checked=int(payload["files_checked"]),  # type: ignore[arg-type]
-                rules_run=int(payload["rules_run"]),  # type: ignore[arg-type]
-                rules=run_rules,
-                cache_status="hit",
-            )
-
     engine_rules = {rule.id: rule for rule in ENGINE_RULES}
     project = Project(root=root)
     raw_findings: list[Finding] = []
 
-    for file_path in collected:
+    for file_path in _collect_files(list(paths)):
         module = ModuleSource.load(file_path, root)
         project.modules.append(module)
         if module.tree is None:
@@ -401,15 +361,11 @@ def run_lint(
                 )
             )
 
-    n_rules = len(ENGINE_RULES) + sum(len(checker.rules) for checker in checkers)
-    report = LintReport(
+    run_rules = all_rules(checkers)
+    return LintReport(
         findings=sorted(active, key=Finding.sort_key),
         suppressed=sorted(suppressed, key=Finding.sort_key),
         files_checked=len(project.modules),
-        rules_run=n_rules,
+        rules_run=len(run_rules),
         rules=run_rules,
-        cache_status="miss" if cache is not None else "",
     )
-    if cache is not None and cache_key is not None:
-        cache.store(cache_key, LintCache.encode_report(report))
-    return report

@@ -111,22 +111,3 @@ class Finding:
             "trace": list(self.trace),
             "suppressed_by": self.suppressed_by,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the result cache)."""
-        return cls(
-            rule=str(data["rule"]),
-            severity=Severity(data["severity"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            hint=str(data.get("hint", "")),
-            source=str(data.get("source", "")),
-            trace=tuple(str(step) for step in data.get("trace", ())),  # type: ignore[union-attr]
-            suppressed_by=(
-                str(data["suppressed_by"])
-                if data.get("suppressed_by") is not None
-                else None
-            ),
-        )

@@ -5,9 +5,10 @@ one function*"; this engine closes the cross-function blind spot the
 paper's privacy argument actually depends on.  It computes a **summary**
 for every indexed function — does it return raw training data?  do any
 of its parameters flow to its return value or to a privacy sink? — and
-iterates those summaries to a fixpoint over the call graph
-(:mod:`repro.analysis.callgraph`).  With summaries in hand, two new
-leak shapes become visible:
+drives those summaries to a fixpoint with a worklist over the reverse
+call graph (:mod:`repro.analysis.callgraph`; see
+:meth:`InterproceduralTaintChecker.solve`).  With summaries in hand, two
+new leak shapes become visible:
 
 * a sink payload that is only tainted *through a call* — e.g.
   ``network.send(node, r, collect(dataset))`` where ``collect`` returns
@@ -33,23 +34,21 @@ in the intraprocedural analysis, so sanctioned flows stay silent.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.analysis.base import Checker, Project
 from repro.analysis.callgraph import CallGraph, FunctionInfo
 from repro.analysis.checkers.privacy import (
+    DECLASSIFIER_CALLS,
     SANITIZER_CALLS,
-    SERIALIZERS,
     SOURCE_ATTRS,
     SOURCE_CALLS,
     SOURCE_KEYS,
     _call_name,
-    _dotted_name,
-    _keyword_is_true,
-    _payload_argument,
-    _scope_statements,
     _ScopeTaint,
+    sink_calls,
 )
 from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.source import ModuleSource
@@ -59,11 +58,11 @@ __all__ = ["InterproceduralTaintChecker", "Step", "Summary"]
 #: Parameters beyond this index are not summarized (fan-out bound).
 MAX_SUMMARIZED_PARAMS = 8
 
-#: Global summary-fixpoint rounds (bounds call-chain depth propagation).
-MAX_SUMMARY_ROUNDS = 6
-
 #: Depth bound for taint-origin explanation chains.
 MAX_EXPLAIN_DEPTH = 6
+
+#: Calls whose result is never raw data, whatever their callee returns.
+_OPAQUE_CALLS = SANITIZER_CALLS | DECLASSIFIER_CALLS
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,19 @@ class Summary:
         """Convergence key: origins are derived data, not fixpoint state."""
         return (self.returns_tainted, self.param_returns, frozenset(self.param_sinks))
 
+    def joined(self, previous: "Summary") -> "Summary":
+        """This summary, keeping every fact ``previous`` already held.
+
+        Origins and sink paths come from the newer summary where it has
+        them.
+        """
+        return Summary(
+            returns_tainted=self.returns_tainted or previous.returns_tainted,
+            return_origin=self.return_origin or previous.return_origin,
+            param_returns=self.param_returns | previous.param_returns,
+            param_sinks={**previous.param_sinks, **self.param_sinks},
+        )
+
 
 class _SummaryTaint(_ScopeTaint):
     """Scope taint that additionally consults function summaries."""
@@ -121,29 +133,25 @@ class _SummaryTaint(_ScopeTaint):
         info: FunctionInfo,
         seeds: frozenset[str] = frozenset(),
     ) -> None:
-        super().__init__(info.node)
+        super().__init__(info.statements)
         self.engine = engine
         self.info = info
         self.tainted |= set(seeds)
 
     def expr_tainted(self, node: ast.AST, extra: frozenset[str] = frozenset()) -> bool:
-        if isinstance(node, ast.Call):
-            name = _call_name(node)
-            if name in SANITIZER_CALLS:
-                return False
-            if name in SOURCE_CALLS:
-                return True
-            for cand, summary in self.engine.call_summaries(node, self.info):
-                if summary.returns_tainted:
-                    return True
-                for idx, arg in _map_args(cand, node):
-                    if idx in summary.param_returns and self.expr_tainted(arg, extra):
-                        return True
-            # Intraprocedural fallback: tainted receiver or argument.
-            parts: list[ast.AST] = list(node.args) + [kw.value for kw in node.keywords]
-            if isinstance(node.func, ast.Attribute):
-                parts.append(node.func.value)
-            return any(self.expr_tainted(part, extra) for part in parts)
+        # A call is tainted when a callee returns raw data; otherwise the
+        # intraprocedural rules decide (sanitizers and declassifiers stop
+        # taint, a tainted argument or receiver taints the call, which
+        # covers every parameter in ``param_returns``).
+        if (
+            isinstance(node, ast.Call)
+            and _call_name(node) not in _OPAQUE_CALLS
+            and any(
+                summary.returns_tainted
+                for _, summary in self.engine.call_summaries(node, self.info)
+            )
+        ):
+            return True
         return super().expr_tainted(node, extra)
 
 
@@ -221,41 +229,30 @@ class InterproceduralTaintChecker(Checker):
 
     def __init__(self) -> None:
         self.graph: CallGraph = CallGraph()
-        self.summaries: dict[str, Summary] = {}
-        self._resolution: dict[tuple[int, str], list[FunctionInfo]] = {}
+        self.summaries: dict[FunctionInfo, Summary] = {}
+        self._resolution: dict[int, list[FunctionInfo]] = {}
 
     # -- call resolution (memoized per run) -----------------------------
+
+    def _resolve(self, call: ast.Call, caller: FunctionInfo) -> list[FunctionInfo]:
+        # A call node lies in exactly one indexed function, its caller.
+        candidates = self._resolution.get(id(call))
+        if candidates is None:
+            candidates = self.graph.resolve(call, caller)
+            self._resolution[id(call)] = candidates
+        return candidates
 
     def call_summaries(
         self, call: ast.Call, caller: FunctionInfo
     ) -> list[tuple[FunctionInfo, Summary]]:
-        key = (id(call), caller.qualname)
-        candidates = self._resolution.get(key)
-        if candidates is None:
-            candidates = self.graph.resolve(call, caller)
-            self._resolution[key] = candidates
-        return [
-            (cand, self.summaries[cand.qualname])
-            for cand in candidates
-            if cand.qualname in self.summaries
-        ]
+        return [(cand, self.summaries[cand]) for cand in self._resolve(call, caller)]
 
     # -- checker entry point --------------------------------------------
 
     def check(self, project: Project) -> Iterator[Finding]:
         self.graph = CallGraph.build(project)
-        self.summaries = {info.qualname: Summary() for info in self.graph.functions}
         self._resolution = {}
-
-        for _ in range(MAX_SUMMARY_ROUNDS):
-            changed = False
-            for info in self.graph.functions:
-                updated = self._compute_summary(info)
-                if updated.state_key() != self.summaries[info.qualname].state_key():
-                    changed = True
-                self.summaries[info.qualname] = updated
-            if not changed:
-                break
+        self.solve()
 
         modules_by_path = {m.relpath: m for m in project.modules}
         raw_return_leaves: dict[tuple[str, int], tuple[str, str, int]] = {}
@@ -278,12 +275,50 @@ class InterproceduralTaintChecker(Checker):
 
     # -- summaries ------------------------------------------------------
 
+    def solve(self) -> None:
+        """Drive every function's summary to its fixpoint.
+
+        A worklist over the reverse call graph: every function starts
+        queued, and a function is recomputed only when the summary of
+        something it calls changed.  Each recomputation is joined into
+        the previous summary (:meth:`Summary.joined`), so a summary only
+        ever gains facts, and a function's convergence key can change
+        at most ``1 + 2 * MAX_SUMMARIZED_PARAMS`` times: once when it
+        starts returning raw data, and once per parameter when that
+        parameter starts reaching the return value or a sink.  Only such
+        a change requeues callers, so the loop ends after finitely many
+        recomputations, with no round cap.
+        """
+        functions = self.graph.functions
+        self.summaries = {info: Summary() for info in functions}
+        callers: dict[FunctionInfo, list[FunctionInfo]] = {info: [] for info in functions}
+        for info in functions:
+            for node in info.statements:
+                if isinstance(node, ast.Call):
+                    for callee in self._resolve(node, info):
+                        callers[callee].append(info)
+
+        queue = deque(functions)
+        queued = set(functions)
+        while queue:
+            info = queue.popleft()
+            queued.discard(info)
+            previous = self.summaries[info]
+            updated = self._compute_summary(info).joined(previous)
+            self.summaries[info] = updated
+            if updated.state_key() == previous.state_key():
+                continue
+            for caller in callers[info]:
+                if caller not in queued:
+                    queued.add(caller)
+                    queue.append(caller)
+
     def _compute_summary(self, info: FunctionInfo) -> Summary:
         base = _SummaryTaint(self, info)
         base.run_fixpoint()
         returns = [
             node
-            for node in _scope_statements(info.node)
+            for node in info.statements
             if isinstance(node, ast.Return) and node.value is not None
         ]
         returns.sort(key=lambda node: node.lineno)
@@ -300,7 +335,9 @@ class InterproceduralTaintChecker(Checker):
         for index, param in enumerate(info.params[:MAX_SUMMARIZED_PARAMS]):
             if index == 0 and param in ("self", "cls"):
                 continue
-            seeded = _SummaryTaint(self, info, seeds=frozenset({param}))
+            # Seeding adds taint, so the seeded fixpoint starts from the
+            # base one instead of recomputing it.
+            seeded = _SummaryTaint(self, info, seeds=frozenset({param, *base.tainted}))
             seeded.run_fixpoint()
             if not returns_tainted and any(
                 seeded.expr_tainted(ret.value) for ret in returns
@@ -368,48 +405,34 @@ class InterproceduralTaintChecker(Checker):
     def _sink_hits(
         self, info: FunctionInfo, state: _SummaryTaint
     ) -> Iterator[_SinkHit]:
-        for node in _scope_statements(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name in ("send", "broadcast"):
-                payload = _payload_argument(node, 2, "payload")
+        for node, kind, name, payload in sink_calls(info.statements):
+            if kind:
                 if payload is not None and state.expr_tainted(payload):
-                    yield _SinkHit(node, "network", f"network.{name}()", payload, ())
-            elif name == "put":
-                parts = _payload_argument(node, 1, "parts")
-                if (
-                    parts is not None
-                    and state.expr_tainted(parts)
-                    and not _keyword_is_true(node, "private")
-                ):
-                    yield _SinkHit(node, "storage", "hdfs.put()", parts, ())
-            else:
-                dotted = _dotted_name(node.func) or ""
-                if dotted in SERIALIZERS:
-                    if node.args and state.expr_tainted(node.args[0]):
+                    label = {
+                        "network": f"network.{name}()",
+                        "storage": "hdfs.put()",
+                        "serialize": f"{name}()",
+                    }[kind]
+                    yield _SinkHit(node, kind, label, payload, ())
+                continue
+            if name in SANITIZER_CALLS:
+                # Sanctioned protocol entry points are the privacy
+                # boundary; what they do internally is analyzed at
+                # their own definition, not at every call site.
+                continue
+            for cand, summary in self.call_summaries(node, info):
+                if not summary.param_sinks:
+                    continue
+                for idx, arg in _map_args(cand, node):
+                    if idx in summary.param_sinks and state.expr_tainted(arg):
                         yield _SinkHit(
-                            node, "serialize", f"{dotted}()", node.args[0], ()
+                            node,
+                            "forward",
+                            f"{cand.display}()",
+                            arg,
+                            summary.param_sinks[idx],
                         )
-                    continue
-                if name in SANITIZER_CALLS:
-                    # Sanctioned protocol entry points are the privacy
-                    # boundary; what they do internally is analyzed at
-                    # their own definition, not at every call site.
-                    continue
-                for cand, summary in self.call_summaries(node, info):
-                    if not summary.param_sinks:
-                        continue
-                    for idx, arg in _map_args(cand, node):
-                        if idx in summary.param_sinks and state.expr_tainted(arg):
-                            yield _SinkHit(
-                                node,
-                                "forward",
-                                f"{cand.display}()",
-                                arg,
-                                summary.param_sinks[idx],
-                            )
-                            break
+                        break
 
     # -- reporting ------------------------------------------------------
 
@@ -421,11 +444,13 @@ class InterproceduralTaintChecker(Checker):
     ) -> Iterator[Finding]:
         inter = _SummaryTaint(self, info)
         inter.run_fixpoint()
-        intra = _ScopeTaint(info.node)
+        intra = _ScopeTaint(info.statements)
         intra.run_fixpoint()
 
         intra_lines = {
-            hit.node.lineno for hit in self._intra_hits(info, intra)
+            node.lineno
+            for node, _, _, payload in sink_calls(info.statements)
+            if payload is not None and intra.expr_tainted(payload)
         }
         seen: set[tuple[int, str]] = set()
         for hit in self._sink_hits(info, inter):
@@ -435,18 +460,12 @@ class InterproceduralTaintChecker(Checker):
             if key in seen:
                 continue
             seen.add(key)
-            if hit.kind == "forward":
-                head = Step(
-                    info.relpath,
-                    hit.node.lineno,
-                    f"{info.display}() passes a tainted argument to {hit.label}",
-                )
-            else:
-                head = Step(
-                    info.relpath,
-                    hit.node.lineno,
-                    f"{info.display}() passes a tainted value to {hit.label}",
-                )
+            noun = "argument" if hit.kind == "forward" else "value"
+            head = Step(
+                info.relpath,
+                hit.node.lineno,
+                f"{info.display}() passes a tainted {noun} to {hit.label}",
+            )
             origin = self._explain(info, inter, hit.payload, set(), MAX_EXPLAIN_DEPTH)
             steps = (head, *hit.chain, *origin)
             for step in steps:
@@ -464,33 +483,6 @@ class InterproceduralTaintChecker(Checker):
                 "privacy.interproc-leak", module, hit.node.lineno, message
             )
             yield replace(finding, trace=tuple(step.render() for step in steps))
-
-    def _intra_hits(
-        self, info: FunctionInfo, intra: _ScopeTaint
-    ) -> Iterator[_SinkHit]:
-        """Sites the plain intraprocedural checker would already flag."""
-        for node in _scope_statements(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            if name in ("send", "broadcast"):
-                payload = _payload_argument(node, 2, "payload")
-                if payload is not None and intra.expr_tainted(payload):
-                    yield _SinkHit(node, "network", name, payload, ())
-            elif name == "put":
-                parts = _payload_argument(node, 1, "parts")
-                if (
-                    parts is not None
-                    and intra.expr_tainted(parts)
-                    and not _keyword_is_true(node, "private")
-                ):
-                    yield _SinkHit(node, "storage", name, parts, ())
-            else:
-                dotted = _dotted_name(node.func) or ""
-                if dotted in SERIALIZERS and node.args and intra.expr_tainted(
-                    node.args[0]
-                ):
-                    yield _SinkHit(node, "serialize", dotted, node.args[0], ())
 
     # -- taint-origin explanation ---------------------------------------
 
@@ -567,7 +559,7 @@ class InterproceduralTaintChecker(Checker):
     ) -> tuple[int, ast.AST] | None:
         """Earliest statement binding ``name`` to a tainted value."""
         candidates: list[tuple[int, ast.AST]] = []
-        for node in _scope_statements(info.node):
+        for node in info.statements:
             targets: list[ast.AST] = []
             value: ast.AST | None = None
             if isinstance(node, ast.Assign):

@@ -22,8 +22,11 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 __all__ = ["ModuleSource", "parse_pragmas"]
+
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 _PRAGMA = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_.\-]+(?:\s*,\s*[A-Za-z0-9_.\-]+)*)"
@@ -47,6 +50,17 @@ def parse_pragmas(lines: list[str]) -> dict[int, frozenset[str]]:
         if line.lstrip().startswith("#"):  # comment-only: cover the next line
             pragmas.setdefault(lineno + 1, set()).update(rules)
     return {lineno: frozenset(rules) for lineno, rules in pragmas.items()}
+
+
+def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``scope`` without descending into nested scopes or lambdas."""
+    stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SCOPE_NODES + (ast.Lambda,)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 @dataclass
@@ -77,6 +91,9 @@ class ModuleSource:
     lines: list[str] = field(default_factory=list)
     tree: ast.Module | None = None
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
+    _statements: dict[int, list[ast.AST]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @classmethod
     def load(cls, path: Path, root: Path) -> "ModuleSource":
@@ -99,6 +116,14 @@ class ModuleSource:
             tree=tree,
             pragmas=parse_pragmas(lines),
         )
+
+    def statements(self, scope: ast.AST) -> list[ast.AST]:
+        """The nodes of ``scope`` (a node of :attr:`tree`) outside nested
+        scopes and lambdas, walked once and shared by every checker."""
+        statements = self._statements.get(id(scope))
+        if statements is None:
+            statements = self._statements[id(scope)] = list(_scope_statements(scope))
+        return statements
 
     def line(self, lineno: int) -> str:
         """The 1-based source line (empty string when out of range)."""

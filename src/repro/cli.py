@@ -134,11 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", metavar="PATH",
                       help="snapshot the run's active findings to PATH "
                       "and exit 0")
-    lint.add_argument("--cache", action="store_true",
-                      help="reuse the previous run's result when nothing "
-                      "changed (<root>/.repro-lint-cache.json)")
-    lint.add_argument("--cache-path", metavar="PATH",
-                      help="cache file location (implies --cache)")
 
     from repro.obs.runs_cli import add_runs_parser
 
@@ -335,11 +330,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         AllowlistError,
         Baseline,
         BaselineError,
-        LintCache,
         all_rules,
         run_lint,
     )
-    from repro.analysis.cache import DEFAULT_CACHE_NAME
 
     if args.list_rules:
         for rule in all_rules():
@@ -365,10 +358,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except BaselineError as exc:
             print(f"repro lint: {exc}", file=sys.stderr)
             return 2
-    cache = None
-    if args.cache or args.cache_path:
-        cache_path = Path(args.cache_path) if args.cache_path else root / DEFAULT_CACHE_NAME
-        cache = LintCache(cache_path)
     try:
         report = run_lint(
             root,
@@ -376,7 +365,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             allowlist=allowlist,
             use_default_allowlist=not args.no_allowlist,
             baseline=baseline,
-            cache=cache,
         )
     except (AllowlistError, FileNotFoundError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)

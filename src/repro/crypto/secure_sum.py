@@ -184,7 +184,12 @@ class SecureSummationProtocol:
                 total = self._run_round(flat, n)
             except BaseException:
                 # A failed round (an overflow at encode, a failed node)
-                # must not leave the audit round open for the next one.
+                # must leave neither an open audit round nor a queued
+                # message for the next one.
+                for node in (*self.participants, self.reducer_id):
+                    for kind in ("mask", "masked-share"):
+                        while self.network.pending(node, kind):
+                            self.network.receive_message(node, kind)
                 if self.audit is not None:
                     self.audit.discard_round()
                 raise

@@ -150,7 +150,12 @@ class ThresholdSummationProtocol:
                 totals = self._run_round(values, alive)
             except BaseException:
                 # A failed round (an overflow at encode, a failed node)
-                # must not leave the audit round open for the next one.
+                # must leave neither an open audit round nor a queued
+                # message for the next one.
+                for node in (*self.participants, self.reducer_id):
+                    for kind in ("threshold-share", "threshold-agg-share"):
+                        while self.network.pending(node, kind):
+                            self.network.receive_message(node, kind)
                 if self.audit is not None:
                     self.audit.discard_round()
                 raise

@@ -239,7 +239,7 @@ def test_findings_sorted_by_path_line_rule():
     report = run_lint(ROOT, [FIXTURES], use_default_allowlist=False)
     keys = [f.sort_key() for f in report.findings]
     assert keys == sorted(keys)
-    assert report.files_checked == 8
+    assert report.files_checked == 10
 
 
 def test_all_rules_registry_is_complete():

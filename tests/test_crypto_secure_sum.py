@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.network import Network
+from repro.cluster.network import Network, NetworkError
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
@@ -255,6 +255,30 @@ class TestFailedRound:
         with pytest.raises(OverflowError, match="overflow-safe bound"):
             protocol.sum_vectors(values)
         values["m2"] = rng.normal(size=4)
+        np.testing.assert_allclose(
+            protocol.sum_vectors(values), sum(values.values()), atol=1e-9
+        )
+        assert audit.ok
+        assert [r.protocol for r in audit.rounds] == ["secure-sum"]
+
+    @pytest.mark.parametrize("mode", ["fresh", "prg"])
+    def test_round_with_a_failed_node_leaves_no_message_behind(self, mode, rng):
+        # m0's mask to m1 is already queued when the send to the failed
+        # m2 raises; the next round must not net that stale mask.
+        audit = ProtocolAuditLog()
+        network = Network()
+        participants = [f"m{i}" for i in range(3)]
+        protocol = SecureSummationProtocol(
+            network, participants, "red", mode=mode, seed=0, audit=audit
+        )
+        values = {p: rng.normal(size=4) for p in participants}
+        network.fail_node("m2")
+        with pytest.raises(NetworkError, match="m2"):
+            protocol.sum_vectors(values)
+        network.recover_node("m2")
+        for node in [*participants, "red"]:
+            for kind in ("mask", "masked-share"):
+                assert network.pending(node, kind) == 0
         np.testing.assert_allclose(
             protocol.sum_vectors(values), sum(values.values()), atol=1e-9
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.network import Network
+from repro.cluster.network import Network, NetworkError
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 from repro.crypto.secure_sum import SecureSummationProtocol
@@ -84,6 +84,29 @@ class TestRobustnessLimits:
         values["m3"] = rng.normal(size=3)
         result = protocol.sum_vectors(values, dropouts={"m1"})
         np.testing.assert_allclose(result, sum(values.values()), atol=1e-8)
+        assert audit.ok
+        assert [r.protocol for r in audit.rounds] == ["threshold-sum"]
+
+    def test_round_with_a_failed_node_leaves_no_share_behind(self, rng):
+        # m0's share to m1 is already queued when the send to the failed
+        # m2 raises; the next round must not add that stale share.
+        audit = ProtocolAuditLog()
+        network = Network()
+        participants = [f"m{i}" for i in range(4)]
+        protocol = ThresholdSummationProtocol(
+            network, participants, "red", threshold=3, seed=0, audit=audit
+        )
+        values = {p: rng.normal(size=3) for p in participants}
+        network.fail_node("m2")
+        with pytest.raises(NetworkError, match="m2"):
+            protocol.sum_vectors(values)
+        network.recover_node("m2")
+        for node in [*participants, "red"]:
+            for kind in ("threshold-share", "threshold-agg-share"):
+                assert network.pending(node, kind) == 0
+        np.testing.assert_allclose(
+            protocol.sum_vectors(values), sum(values.values()), atol=1e-8
+        )
         assert audit.ok
         assert [r.protocol for r in audit.rounds] == ["threshold-sum"]
 

@@ -112,17 +112,16 @@ class DeterminismChecker(ModuleChecker):
         crypto = is_crypto_scope(module)
         # hash() inside a __hash__ method is the idiomatic delegation and
         # only ever feeds process-local dict lookups, never placement.
-        in_dunder_hash = {
-            id(sub)
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "__hash__"
-            for sub in ast.walk(node)
-        }
+        in_dunder_hash: set[int] = set()
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(
                     module, node, rng_exempt, allow_hash=id(node) in in_dunder_hash
                 )
+            elif isinstance(node, ast.FunctionDef) and node.name == "__hash__":
+                # The walk is breadth-first, so it reaches the method
+                # before any call inside it.
+                in_dunder_hash.update(map(id, ast.walk(node)))
             elif isinstance(node, (ast.Import, ast.ImportFrom)) and not crypto:
                 # In crypto scope the crypto checker owns this pattern.
                 yield from self._check_random_import(module, node)

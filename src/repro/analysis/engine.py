@@ -32,7 +32,7 @@ from repro.analysis.allowlist import (
 from repro.analysis.base import Checker, Project
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Rule, Severity
-from repro.analysis.source import ModuleSource
+from repro.analysis.source import ModuleSource, report_path
 
 __all__ = ["LintReport", "run_lint", "default_checkers", "all_rules"]
 
@@ -351,7 +351,7 @@ def run_lint(
                 Finding(
                     rule=rule.id,
                     severity=rule.severity,
-                    path=allowlist.path,
+                    path=report_path(Path(allowlist.path), root),
                     line=1,
                     message=(
                         f"entry (rule={entry.rule!r}, path={entry.path!r}) "

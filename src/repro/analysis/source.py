@@ -24,13 +24,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-__all__ = ["ModuleSource", "parse_pragmas"]
+__all__ = ["ModuleSource", "parse_pragmas", "report_path"]
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 _PRAGMA = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_.\-]+(?:\s*,\s*[A-Za-z0-9_.\-]+)*)"
 )
+
+
+def report_path(path: Path, root: Path) -> str:
+    """``path`` as findings report it: POSIX and relative to ``root``, or
+    as given when it lies outside the root (an explicit argument)."""
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
 def parse_pragmas(lines: list[str]) -> dict[int, frozenset[str]]:
@@ -99,10 +108,7 @@ class ModuleSource:
     def load(cls, path: Path, root: Path) -> "ModuleSource":
         """Read and parse ``path``; syntax errors leave ``tree`` as None."""
         text = path.read_text(encoding="utf-8")
-        try:
-            relpath = path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:  # outside the root (explicit file argument)
-            relpath = path.as_posix()
+        relpath = report_path(path, root)
         lines = text.splitlines()
         try:
             tree = ast.parse(text, filename=str(path))

@@ -4,8 +4,13 @@ All inter-node communication in the library — HDFS block transport,
 Twister broadcast, and every round of the secure summation protocol — flows
 through a :class:`Network`.  The network
 
-* measures each payload's serialized size (``pickle``) and accounts bytes
-  per message *kind* in the shared :class:`~repro.cluster.metrics.MetricRegistry`;
+* hands the receiver an isolated copy of each payload and measures its
+  wire size: a limb :class:`~repro.crypto.fixed_point.ResidueVector`
+  (the secure sum's masks and shares) through its ``wire_copy`` method,
+  a read-only limb copy whose size equals its pickled length, and every
+  other payload through one ``pickle`` round trip;
+* accounts bytes per message *kind* in the shared
+  :class:`~repro.cluster.metrics.MetricRegistry`;
 * advances a simple simulated clock using a latency + bandwidth model
   (:class:`LatencyModel`), so experiments can report simulated transfer
   time in addition to wall time;
@@ -73,10 +78,13 @@ class Message(NamedTuple):
         ``"broadcast"`` — used for byte accounting and for the adversary's
         selective wiretaps.
     payload:
-        The Python object transmitted (already deep-copied via
-        serialization, so sender-side mutation cannot leak through).
+        The receiver's copy of the transmitted object: a read-only limb
+        copy for a limb ``ResidueVector``, else a pickle round trip of
+        the payload.  Either way sender-side mutation cannot leak
+        through.
     size_bytes:
-        Serialized payload size.
+        Serialized payload size: the length of the payload's pickle
+        (``pickle.HIGHEST_PROTOCOL``), also where no pickle is made.
     """
 
     seq: int
@@ -182,15 +190,19 @@ class Network:
     def send(self, src: str, dst: str, payload: Any, kind: str = "data") -> Message:
         """Transmit ``payload`` from ``src`` to ``dst`` under tag ``kind``.
 
-        The payload is serialized (measuring its size and producing an
-        independent copy for the receiver), counters are updated, the
-        simulated clock advances, and the message lands in the receiver's
-        inbox for that kind.
+        The receiver gets an independent copy of the payload and the
+        message its wire size.  A payload whose type has a ``wire_copy()``
+        method returning ``(copy, size_bytes)`` is delivered that way
+        (a limb ``ResidueVector``: read-only limbs, no pickling); any
+        other payload, or one whose ``wire_copy()`` returns ``None``, is
+        pickled once and the same buffer gives the size and the copy.
+        Counters are updated, the simulated clock advances, and the
+        message lands in the receiver's inbox for that kind.
 
         Emits counters ``network.messages``, ``network.messages.<kind>``,
         ``network.bytes``, ``network.bytes.<kind>``,
-        ``network.serialize_s`` (wall seconds spent pickling payloads —
-        the payload is serialized exactly once per send).
+        ``network.serialize_s`` (wall seconds spent making the
+        receiver's copy and the wire size, once per send).
         """
         self._require_registered(src)
         dst_inbox = self._inboxes.get(dst)
@@ -203,13 +215,17 @@ class Network:
         if src == dst:
             raise NetworkError("a node does not use the network to talk to itself")
 
-        # Serialize exactly once: the same buffer provides the measured
-        # wire size AND the receiver's isolated deep copy.
+        # The receiver's isolated copy and the wire size: from the
+        # payload type's ``wire_copy`` where it has one, else from one
+        # pickle buffer.
         serialize_start = time.perf_counter()
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        received_payload = pickle.loads(blob)
+        wire_copy = getattr(type(payload), "wire_copy", None)
+        delivered = wire_copy(payload) if wire_copy is not None else None
+        if delivered is None:
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            delivered = pickle.loads(blob), len(blob)
+        received_payload, size_bytes = delivered
         serialize_s = time.perf_counter() - serialize_start
-        size_bytes = len(blob)
         message = Message(self._seq, src, dst, kind, received_payload, size_bytes)
         self._seq += 1
 

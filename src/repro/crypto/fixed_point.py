@@ -43,12 +43,15 @@ sampling*).  The codec's tests pin every operation against a
 per-element Python-int reference.
 
 A limb :class:`ResidueVector` pickles as its raw limb bytes, so a
-mask or share costs little more than its payload on the simulated wire
-(``docs/PERFORMANCE.md``, *Serialization*).
+mask or share costs little more than its payload on the simulated wire,
+and the network delivers it as a read-only limb copy without pickling
+(:meth:`ResidueVector.wire_copy`; ``docs/PERFORMANCE.md``,
+*Serialization*).
 """
 
 from __future__ import annotations
 
+import pickle
 from typing import Iterator, Sequence, overload
 
 import numpy as np
@@ -72,6 +75,10 @@ _RAW_WORD_GENERATORS = (
 
 #: log2 of the smallest per-value magnitude bound :func:`ring_bits` allows.
 HEADROOM_BITS = 16
+
+# Pickled length of a limb vector per ``(limbs.shape, modulus)``: the
+# compact ``__reduce__`` form's length does not depend on the values.
+_WIRE_SIZES: dict[tuple[tuple[int, ...], int], int] = {}
 
 
 def ring_bits(fractional_bits: int, max_terms: int) -> int:
@@ -164,6 +171,27 @@ class ResidueVector:
             _rebuild_limbs,
             (self.limbs.tobytes(), int(self.limbs.shape[1]), self.modulus),
         )
+
+    def wire_copy(self) -> "tuple[ResidueVector, int] | None":
+        """The receiver's copy of this vector and its wire size, unpickled.
+
+        :meth:`repro.cluster.network.Network.send` delivers a limb vector
+        this way: the copy holds its own read-only limbs (only the rows
+        a slice view covers), and the size equals
+        ``len(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))``, pickled once
+        per shape and modulus.  Object-dtype vectors return ``None`` and
+        take the pickle round trip.
+        """
+        limbs = self.limbs
+        if limbs.dtype == object:
+            return None
+        key = (limbs.shape, self.modulus)
+        size = _WIRE_SIZES.get(key)
+        if size is None:
+            size = _WIRE_SIZES[key] = len(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
+        copy = limbs.copy()
+        copy.flags.writeable = False
+        return ResidueVector(copy, self.modulus), size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -183,6 +183,29 @@ def test_allowlist_suppresses_and_reports_unused(tmp_path):
     assert report.exit_code(strict=True) == 1
 
 
+def test_same_tree_lints_identically_from_two_roots(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        root = tmp_path / name / "checkout"
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "clock.py").write_text("import time\nstamp = time.time()\n")
+        _write_allowlist(
+            root,
+            '[[allow]]\n'
+            'rule = "determinism.wall-clock"\n'
+            'path = "src/never.py"\n'
+            'reason = "stale entry"\n',
+        )
+        reports.append(run_lint(root))
+    first, second = reports
+    assert [(f.rule, f.path) for f in first.findings] == [
+        ("lint.unused-allowlist-entry", ".repro-lint.toml"),
+        ("determinism.wall-clock", "src/clock.py"),
+    ]
+    assert first.format_json() == second.format_json()
+    assert first.format_sarif() == second.format_sarif()
+
+
 def test_allowlist_contains_pins_the_entry(tmp_path):
     src_dir = tmp_path / "src"
     src_dir.mkdir()

@@ -1,10 +1,16 @@
 """Unit tests for the simulated network and metric registry."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.cluster.network as network_module
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.network import LatencyModel, Message, Network, NetworkError
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
+from repro.crypto.secret_sharing import MERSENNE_PRIME_127
+from tests.test_crypto_fixed_point_vectorized import CODEC_CONFIGS
 
 
 class TestMetricRegistry:
@@ -157,6 +163,105 @@ class TestNetworkAccounting:
         m1 = network.send("a", "b", 1)
         m2 = network.send("a", "b", 2)
         assert m2.seq == m1.seq + 1
+
+
+def pair() -> Network:
+    network = Network()
+    network.register("a")
+    network.register("b")
+    return network
+
+
+def pickled_size(payload) -> int:
+    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestResiduePayloads:
+    """Limb ``ResidueVector`` payloads cross ``send`` without pickling."""
+
+    # 8,200 words are past pickle's 64 KiB frame, so the limb bytes are
+    # written outside it.
+    @pytest.mark.parametrize("n", [0, 1, 600, 8200])
+    @pytest.mark.parametrize("config", CODEC_CONFIGS)
+    def test_size_bytes_is_the_pickled_length(self, config, n):
+        codec = FixedPointCodec(**config)
+        network = pair()
+        # The zero vector first: a size kept per shape must not depend
+        # on the values.
+        sizes = []
+        for vec in (codec.zeros_array(n), codec.random_vector_array(n, np.random.default_rng(n))):
+            message = network.send("a", "b", vec, kind="mask")
+            sizes.append(pickled_size(vec))
+            assert message.size_bytes == sizes[-1]
+            received = network.receive("b", kind="mask")
+            assert received.modulus == vec.modulus
+            assert received.limbs.shape == vec.limbs.shape
+            assert received.to_ints() == vec.to_ints()
+        assert network.bytes_sent("mask") == sum(sizes)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_limb_vectors_are_not_pickled(self, bits, monkeypatch):
+        class NoPickle:
+            def dumps(self, *args, **kwargs):
+                raise AssertionError("a limb vector was pickled on send")
+
+        vec = FixedPointCodec(modulus_bits=bits).random_vector_array(600, np.random.default_rng(1))
+        network = pair()
+        network.send("a", "b", vec, kind="mask")  # sizes this shape once
+        monkeypatch.setattr(network_module, "pickle", NoPickle())
+        serialize_s = network.metrics.get("network.serialize_s")
+        message = network.send("a", "b", vec, kind="mask")
+        assert message.size_bytes == pickled_size(vec)
+        # network.serialize_s times the copy in place of the round trip.
+        assert network.metrics.get("network.serialize_s") > serialize_s
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_sender_write_after_send_does_not_reach_receiver(self, bits):
+        mask = FixedPointCodec(modulus_bits=bits).random_vector_array(65, np.random.default_rng(2))
+        sent = mask.to_ints()
+        network = pair()
+        network.send("a", "b", mask, kind="mask")
+        mask.limbs[:] = 0
+        received = network.receive("b", kind="mask")
+        assert received.to_ints() == sent
+        assert not np.shares_memory(received.limbs, mask.limbs)
+
+    def test_received_limbs_are_read_only(self):
+        mask = FixedPointCodec(modulus_bits=64).random_vector_array(8, np.random.default_rng(3))
+        network = pair()
+        network.send("a", "b", mask, kind="mask")
+        received = network.receive("b", kind="mask")
+        assert not received.limbs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            received.limbs[0, 0] = 1
+        assert mask.limbs.flags.writeable  # the sender's vector is untouched
+
+    @pytest.mark.parametrize("rows", [slice(2, 5), slice(None, None, 3), slice(7, 7)])
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_row_slice_view_delivers_only_its_rows(self, bits, rows):
+        vec = FixedPointCodec(modulus_bits=bits).random_vector_array(20, np.random.default_rng(4))
+        view = vec[rows]
+        network = pair()
+        message = network.send("a", "b", view, kind="mask")
+        received = network.receive("b", kind="mask")
+        assert received.to_ints() == vec.to_ints()[rows]
+        assert received.limbs.shape == view.limbs.shape
+        assert received.limbs.flags.c_contiguous
+        assert message.size_bytes == pickled_size(view) == pickled_size(received)
+
+    def test_object_dtype_payload_still_decodes(self):
+        codec = FixedPointCodec(modulus=MERSENNE_PRIME_127)
+        values = np.array([-3.25, 0.0, 1e-9, 7.5])
+        encoded = codec.encode_array(values)
+        assert encoded.wire_copy() is None
+        network = pair()
+        message = network.send("a", "b", encoded, kind="share")
+        received = network.receive("b", kind="share")
+        assert isinstance(received, ResidueVector)
+        assert received.limbs.dtype == object
+        assert received.limbs is not encoded.limbs
+        assert message.size_bytes == pickled_size(encoded)
+        np.testing.assert_array_equal(codec.decode(received), codec.decode(encoded))
 
 
 class TestLatencyModel:

@@ -1,5 +1,7 @@
 """Tests for the paper's coalition-resistant secure summation protocol."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,31 @@ class TestProtocolShape:
         assert network.metrics.get("crypto.masks_generated") == 6
         assert network.metrics.get("crypto.masked_shares_sent") == 3
         assert network.metrics.get("crypto.secure_sum_rounds") == 1
+
+
+    @pytest.mark.parametrize(
+        "ring",
+        [{"modulus_bits": 64}, {"modulus_bits": 128}, {"modulus": MERSENNE_PRIME_127}],
+        ids=["one-word-64", "packed-128", "mersenne-prime-127"],
+    )
+    def test_masks_and_shares_keep_their_pickled_wire_size(self, ring, rng):
+        m = 4
+        participants = [f"m{i}" for i in range(m)]
+        network = Network()
+        codec = FixedPointCodec(max_terms=m, **ring)
+        protocol = SecureSummationProtocol(network, participants, "red", codec=codec, seed=4)
+        values = {p: rng.normal(size=600) for p in participants}
+        np.testing.assert_allclose(
+            protocol.sum_vectors(values), sum(values.values()), rtol=0, atol=m * 2.0**-40
+        )
+        wire = [msg for msg in network.message_log if msg.kind in ("mask", "masked-share")]
+        assert len(wire) == m * (m - 1) + m
+        for msg in wire:
+            assert msg.size_bytes == len(pickle.dumps(msg.payload, pickle.HIGHEST_PROTOCOL))
+            # Limb payloads arrive as read-only copies; odd-modulus ones
+            # as the pickle round trip's fresh object array.
+            assert msg.payload.limbs.flags.writeable == (msg.payload.limbs.dtype == object)
+        assert network.bytes_sent() == sum(msg.size_bytes for msg in network.message_log)
 
 
 class TestMaskingHidesValues:

@@ -13,8 +13,12 @@ Usage::
 ``--check`` exits non-zero if any secure-sum round on the trainer's
 one-word ring (64 bits) is slower than the same configuration at 128
 bits in the same run: the native one-word kernels must keep beating the
-multi-limb carry path.  The CI ``perf-smoke`` job runs exactly that, so
-a change that silently loses the one-word speedup fails the build.
+multi-limb carry path.  It also fails if a Shamir threshold round is
+more than ``THRESHOLD_MAX_RATIO`` times slower than a fresh 64-bit
+round of the same size in the same run, so the dropout-robust sum stays
+on the vectorized residue planes.  The CI ``perf-smoke`` job runs
+exactly that, so a change that silently loses either speedup fails the
+build.
 
 The secure-sum and codec rows run at two ring widths: 64 bits, the
 one-word ring the trainer uses at its defaults
@@ -51,6 +55,7 @@ from repro.core import (
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.crypto.fixed_point import FixedPointCodec, ring_bits
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
+from repro.crypto.threshold_sum import ThresholdSummationProtocol
 from repro.data import StandardScaler, train_test_split
 from repro.data.synthetic import make_linear_task, make_ocr_like
 from repro.svm.knapsack import solve_quadratic_knapsack
@@ -60,6 +65,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_hotpaths.json"
 #: One-word (trainer) and two-limb (codec default) ring widths.
 RING_BITS = (64, 128)
+#: Largest threshold-round time, as a multiple of a fresh 64-bit round
+#: of the same size, that ``--check`` accepts.
+THRESHOLD_MAX_RATIO = 25.0
 
 
 def _timeit(fn, *, repeats: int) -> float:
@@ -129,6 +137,53 @@ def bench_secure_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict, di
             )
             pair.append(entry)
         pairs.append((pair[0], pair[1]))
+    return pairs
+
+
+def bench_threshold_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict, dict]]:
+    """Shamir threshold rounds, each beside a fresh 64-bit round of the
+    same size (M participants, one ``dim``-vector each).
+
+    Returns (threshold, fresh) record pairs for the --check gate.
+    """
+    print("threshold summation rounds:")
+    configs = [(4, 3, 128)] if smoke else [(4, 3, 128), (8, 5, 600)]
+    repeats = 3 if smoke else 7
+    pairs = []
+    for n_participants, threshold, dim in configs:
+        participants = [f"m{i}" for i in range(n_participants)]
+        rng = np.random.default_rng(9)
+        values = {p: rng.normal(size=dim) for p in participants}
+        expected = sum(values.values())
+        fresh = SecureSummationProtocol(
+            Network(keep_log=False),
+            participants,
+            "reducer",
+            codec=FixedPointCodec(modulus_bits=64, max_terms=n_participants),
+            seed=0,
+        )
+        network = Network(keep_log=False)
+        robust = ThresholdSummationProtocol(
+            network, participants, "reducer", threshold=threshold, seed=0
+        )
+        np.testing.assert_allclose(robust.sum_vectors(values), expected, atol=1e-8)
+        bytes_before = network.bytes_sent()
+        wall = _timeit(lambda: robust.sum_vectors(values), repeats=repeats)
+        per_round_bytes = (network.bytes_sent() - bytes_before) / repeats
+        threshold_entry = _record(
+            results,
+            "threshold_sum.round",
+            {"participants": n_participants, "threshold": threshold, "dim": dim},
+            wall,
+            per_round_bytes,
+        )
+        fresh_entry = _record(
+            results,
+            "secure_sum.round",
+            {"mode": "fresh", "participants": n_participants, "dim": dim, "modulus_bits": 64},
+            _timeit(lambda: fresh.sum_vectors(values), repeats=repeats),
+        )
+        pairs.append((threshold_entry, fresh_entry))
     return pairs
 
 
@@ -334,9 +389,13 @@ def bench_end_to_end(
         print(f"  bench run recorded: {run_id} ({ledger_dir}/)")
 
 
-def check_regressions(pairs: list[tuple[dict, dict]]) -> list[str]:
+def check_regressions(
+    pairs: list[tuple[dict, dict]], threshold_pairs: list[tuple[dict, dict]]
+) -> list[str]:
     """A one-word (64-bit) secure-sum round must never be slower than
-    the same configuration on the two-limb (128-bit) ring."""
+    the same configuration on the two-limb (128-bit) ring, and a
+    threshold round no more than ``THRESHOLD_MAX_RATIO`` times slower
+    than a fresh 64-bit round of the same size."""
     failures = []
     for one_word, two_limb in pairs:
         if one_word["wall_s"] > two_limb["wall_s"]:
@@ -347,6 +406,16 @@ def check_regressions(pairs: list[tuple[dict, dict]]) -> list[str]:
         else:
             speedup = two_limb["wall_s"] / max(one_word["wall_s"], 1e-12)
             print(f"  ok: {json.dumps(one_word['params'])} {speedup:.1f}x faster than 128-bit")
+    for threshold, fresh in threshold_pairs:
+        ratio = threshold["wall_s"] / max(fresh["wall_s"], 1e-12)
+        if ratio > THRESHOLD_MAX_RATIO:
+            failures.append(
+                f"threshold_sum {threshold['params']}: {threshold['wall_s']:.4f}s is "
+                f"{ratio:.1f}x a fresh 64-bit round ({fresh['wall_s']:.4f}s), "
+                f"over {THRESHOLD_MAX_RATIO:g}x"
+            )
+        else:
+            print(f"  ok: {json.dumps(threshold['params'])} {ratio:.1f}x a fresh 64-bit round")
     return failures
 
 
@@ -358,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if a 64-bit secure-sum round is slower than the same round at 128 bits",
+        help="exit 1 if a 64-bit secure-sum round is slower than the same round at "
+        f"128 bits, or a threshold round over {THRESHOLD_MAX_RATIO:g}x a fresh 64-bit round",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="output JSON path"
@@ -377,6 +447,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results: list[dict] = []
     pairs = bench_secure_sum(results, smoke=args.smoke)
+    threshold_pairs = bench_threshold_sum(results, smoke=args.smoke)
     bench_codec_kernels(results, smoke=args.smoke)
     bench_sum_arrays(results, smoke=args.smoke)
     bench_box_qp(results, smoke=args.smoke)
@@ -389,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {len(results)} records to {args.out}")
 
     if args.check:
-        failures = check_regressions(pairs)
+        failures = check_regressions(pairs, threshold_pairs)
         if failures:
             for failure in failures:
                 print(f"PERF REGRESSION: {failure}", file=sys.stderr)

@@ -25,7 +25,7 @@ __all__ = ["CryptoMisuseChecker", "is_crypto_scope"]
 #: Calls whose results live in the modular/ciphertext domain.
 CIPHER_PRODUCERS = frozenset(
     {"encode", "encode_array", "random_vector", "random_vector_array",
-     "zeros_array", "sum_arrays", "shamir_share", "additive_share",
+     "zeros_array", "sum_arrays", "shamir_share",
      "encrypt", "encrypt_raw", "encrypt_vector"}
 )
 
@@ -33,9 +33,7 @@ CIPHER_PRODUCERS = frozenset(
 CIPHER_PRESERVING = frozenset({"add", "subtract"})
 
 #: Mask/pad generators (for the reuse-across-rounds rule).
-MASK_GENERATORS = frozenset(
-    {"random_vector", "random_vector_array", "_rand_field_element"}
-)
+MASK_GENERATORS = frozenset({"random_vector", "random_vector_array"})
 
 _RNG_CONSTRUCTORS = frozenset({"default_rng", "RandomState", "Generator"})
 

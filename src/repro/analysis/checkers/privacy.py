@@ -17,7 +17,7 @@ analysis:
   fixpoint per scope;
 * **sanitizers** — the sanctioned privacy mechanisms stop taint:
   fixed-point masking (``encode`` / modular ``add``/``subtract``),
-  secret sharing (``shamir_share``, ``additive_share``), Paillier
+  secret sharing (``shamir_share``), Paillier
   (``encrypt*``), and the secure aggregation protocols themselves
   (``sum_vectors``, ``aggregate``), whose outputs are sums/aggregates
   by construction;
@@ -63,7 +63,7 @@ DECLASSIFIED_ATTRS = frozenset(
 SANITIZER_CALLS = frozenset(
     {"encode", "encode_array", "add", "subtract", "sum_arrays",
      "random_vector", "random_vector_array", "zeros_array",
-     "shamir_share", "additive_share",
+     "shamir_share",
      "encrypt", "encrypt_raw", "encrypt_vector",
      "sum_vectors", "aggregate"}
 )

@@ -151,29 +151,36 @@ class SimulatedHdfs:
             for index, (payload, primary) in enumerate(zip(parts, preferred_nodes)):
                 if primary not in self._storage:
                     raise HdfsError(f"unknown data node {primary!r}")
-                size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-                block = Block(file_name=name, index=index, payload=payload, size_bytes=size)
-                replicas = [primary]
-                self._storage[primary][block.block_id] = block
+                block_id = f"{name}#{index}"
                 # Additional replicas are *copied over the network* from the
                 # primary — this is what makes replicating private data
-                # visibly unsafe in the byte accounting.
+                # visibly unsafe in the byte accounting.  Each replica
+                # stores the copy it receives, and the transfer's wire size
+                # is the block's size (pickled here only without replicas).
+                copies: dict[str, Any] = {}
+                size: int | None = None
                 other = [n for n in nodes if n != primary]
                 for replica_node in other[: n_replicas - 1]:
                     with self.network.tracer.span(
                         "hdfs.replicate",
                         kind="hdfs",
                         node=primary,
-                        block_id=block.block_id,
+                        block_id=block_id,
                         dst=replica_node,
-                        size_bytes=size,
-                    ):
-                        self.network.send(
+                    ) as span:
+                        message = self.network.send(
                             primary, replica_node, payload, kind="hdfs-replication"
                         )
-                    self._storage[replica_node][block.block_id] = block
-                    replicas.append(replica_node)
-                placement.append(replicas)
+                        span.attrs["size_bytes"] = message.size_bytes
+                    copies[replica_node] = self.network.receive(
+                        replica_node, kind="hdfs-replication"
+                    )
+                    size = message.size_bytes
+                if size is None:
+                    size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+                for node, stored in {primary: payload, **copies}.items():
+                    self._storage[node][block_id] = Block(name, index, stored, size)
+                placement.append([primary, *copies])
                 self.network.metrics.increment("hdfs.blocks_written", 1)
 
         self._placement[name] = placement
@@ -202,7 +209,8 @@ class SimulatedHdfs:
         """Read one block from node ``reader``.
 
         A local read is free; a remote read ships the block over the
-        network (tagged ``hdfs-remote-read``) — and is refused outright
+        network (tagged ``hdfs-remote-read``) and returns the reader's
+        received copy — and is refused outright
         for private files, enforcing the paper's trust assumption that
         raw data never leaves its owner.
 
@@ -236,7 +244,7 @@ class SimulatedHdfs:
             "hdfs.remote_read", kind="hdfs", node=reader, block_id=block_id, src=source
         ):
             self.network.send(source, reader, payload, kind="hdfs-remote-read")
-        return payload
+        return self.network.receive(reader, kind="hdfs-remote-read")
 
     def blocks_on(self, node_id: str) -> list[str]:
         """Block ids stored on ``node_id``."""

@@ -5,10 +5,11 @@ Twister broadcast, and every round of the secure summation protocol — flows
 through a :class:`Network`.  The network
 
 * hands the receiver an isolated copy of each payload and measures its
-  wire size: a limb :class:`~repro.crypto.fixed_point.ResidueVector`
-  (the secure sum's masks and shares) through its ``wire_copy`` method,
-  a read-only limb copy whose size equals its pickled length, and every
-  other payload through one ``pickle`` round trip;
+  wire size: a :class:`~repro.crypto.fixed_point.ResidueVector` (the
+  secure sum's masks and shares) through its ``wire_copy`` method, a
+  read-only limb copy whose size equals its pickled length, and every
+  other payload (the threshold sum's ``uint32`` share planes among
+  them) through one ``pickle`` round trip;
 * accounts bytes per message *kind* in the shared
   :class:`~repro.cluster.metrics.MetricRegistry`;
 * advances a simple simulated clock using a latency + bandwidth model
@@ -79,8 +80,8 @@ class Message(NamedTuple):
         selective wiretaps.
     payload:
         The receiver's copy of the transmitted object: a read-only limb
-        copy for a limb ``ResidueVector``, else a pickle round trip of
-        the payload.  Either way sender-side mutation cannot leak
+        copy for a ``ResidueVector``, else a pickle round trip of the
+        payload.  Either way sender-side mutation cannot leak
         through.
     size_bytes:
         Serialized payload size: the length of the payload's pickle
@@ -193,9 +194,9 @@ class Network:
         The receiver gets an independent copy of the payload and the
         message its wire size.  A payload whose type has a ``wire_copy()``
         method returning ``(copy, size_bytes)`` is delivered that way
-        (a limb ``ResidueVector``: read-only limbs, no pickling); any
-        other payload, or one whose ``wire_copy()`` returns ``None``, is
-        pickled once and the same buffer gives the size and the copy.
+        (a ``ResidueVector``: read-only limbs, no pickling); any other
+        payload is pickled once and the same buffer gives the size and
+        the copy.
         Counters are updated, the simulated clock advances, and the
         message lands in the receiver's inbox for that kind.
 
@@ -220,11 +221,11 @@ class Network:
         # pickle buffer.
         serialize_start = time.perf_counter()
         wire_copy = getattr(type(payload), "wire_copy", None)
-        delivered = wire_copy(payload) if wire_copy is not None else None
-        if delivered is None:
+        if wire_copy is not None:
+            received_payload, size_bytes = wire_copy(payload)
+        else:
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            delivered = pickle.loads(blob), len(blob)
-        received_payload, size_bytes = delivered
+            received_payload, size_bytes = pickle.loads(blob), len(blob)
         serialize_s = time.perf_counter() - serialize_start
         message = Message(self._seq, src, dst, kind, received_payload, size_bytes)
         self._seq += 1

@@ -12,18 +12,14 @@ simulated cluster network, plus the supporting and comparison machinery:
 * :mod:`repro.crypto.paillier` — an additively homomorphic cryptosystem,
   used by the SMC-style baselines the paper compares against in related
   work (e.g. secure kernel computation [28], BP training [30]);
-* :mod:`repro.crypto.secret_sharing` — additive and Shamir sharing, an
-  alternative aggregation backend with a different trust model.
+* :mod:`repro.crypto.secret_sharing` — Shamir sharing on word-sized
+  residue planes, behind the dropout-robust threshold sum
+  (:mod:`repro.crypto.threshold_sum`), a different trust model.
 """
 
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair, PaillierPublicKey
-from repro.crypto.secret_sharing import (
-    additive_reconstruct,
-    additive_share,
-    shamir_reconstruct,
-    shamir_share,
-)
+from repro.crypto.secret_sharing import shamir_reconstruct, shamir_share
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
 from repro.crypto.threshold_sum import ThresholdSumAggregator, ThresholdSummationProtocol
 
@@ -36,8 +32,6 @@ __all__ = [
     "SecureSummationProtocol",
     "ThresholdSumAggregator",
     "ThresholdSummationProtocol",
-    "additive_reconstruct",
-    "additive_share",
     "shamir_reconstruct",
     "shamir_share",
 ]

@@ -1,7 +1,7 @@
 """Fixed-point encoding of real vectors into the additive group Z_q.
 
-The masking-based secure summation protocol (and additive secret
-sharing, and Paillier plaintexts) operate on integers modulo ``q``;
+The masking-based secure summation protocol (and the Shamir threshold
+sum, and Paillier plaintexts) operate on integers modulo ``q``;
 training produces real vectors.  :class:`FixedPointCodec` provides the
 bridge:
 
@@ -26,18 +26,19 @@ learners gets a second word.  A value past the bound is an
 ``OverflowError`` at encode, never a wrapped sum.
 
 Every operation works on :class:`ResidueVector`, a packed residue
-array.  For power-of-two moduli, residues are fixed-width little-endian
-multi-limb ``uint64`` numpy arrays of shape ``(n, L)`` (``L = 2`` for
-the default 128-bit group) with batched ``encode_array``/``decode`` and
-one multi-operand modular sum (:meth:`FixedPointCodec.sum_arrays`, which
-also backs ``add``/``subtract``).  A ring of at most 64 bits stores one
-word per residue and uses native kernels: encode is a signed ``int64``
-cast, decode a sign extension, and the sum plain ``uint64`` wraparound
-arithmetic.  Odd (prime) moduli, which only the Shamir threshold sum
-uses, keep object-dtype arrays of Python ints, which keeps the
-arithmetic exact where a fixed limb count cannot.
+array: the modulus is always a power of two ``q = 2^k``, and residues
+are fixed-width little-endian multi-limb ``uint64`` numpy arrays of
+shape ``(n, L)`` (``L = 2`` for the default 128-bit group) with batched
+``encode_array``/``decode`` and one multi-operand modular sum
+(:meth:`FixedPointCodec.sum_arrays`, which also backs
+``add``/``subtract``).  A ring of at most 64 bits stores one word per
+residue and uses native kernels: encode is a signed ``int64`` cast,
+decode a sign extension, and the sum plain ``uint64`` wraparound
+arithmetic.  The Shamir threshold sum shares these one-word residues on
+word-sized prime planes (:mod:`repro.crypto.secret_sharing`) and lifts
+its result back to a word, so it needs no second backend.
 
-Masks are drawn as one ``rng.integers(0, 2**64, size=(n, words),
+Masks are drawn as one ``rng.integers(0, 2**64, size=(n, L),
 dtype=uint64)`` block per vector (see ``docs/PERFORMANCE.md``, *Mask
 sampling*).  The codec's tests pin every operation against a
 per-element Python-int reference.
@@ -103,10 +104,8 @@ class ResidueVector:
     Attributes
     ----------
     limbs:
-        Either a ``uint64`` array of shape ``(n, L)`` holding each
-        residue as ``L`` little-endian 64-bit limbs (power-of-two
-        moduli), or an object-dtype array of shape ``(n,)`` holding
-        arbitrary-precision Python ints (odd moduli).
+        A ``uint64`` array of shape ``(n, L)`` holding each residue as
+        ``L`` little-endian 64-bit limbs.
     modulus:
         The group order ``q``; every stored residue is in ``[0, q)``.
 
@@ -139,8 +138,6 @@ class ResidueVector:
         """
         if isinstance(index, slice):
             return ResidueVector(self.limbs[index], self.modulus)
-        if self.limbs.dtype == object:
-            return int(self.limbs[index])
         value = 0
         for i in range(self.limbs.shape[1] - 1, -1, -1):
             value = (value << _WORD_BITS) | int(self.limbs[index, i])
@@ -148,8 +145,6 @@ class ResidueVector:
 
     def to_ints(self) -> list[int]:
         """The residues as arbitrary-precision Python ints."""
-        if self.limbs.dtype == object:
-            return [int(v) for v in self.limbs]
         return _limbs_to_ints(self.limbs)
 
     def __eq__(self, other: object) -> bool:
@@ -162,29 +157,23 @@ class ResidueVector:
 
         A limb vector pickles as its ``L·8·n`` raw bytes instead of a
         generic ``ndarray`` reconstruct, which is 3–4× cheaper to
-        dump and load and drops numpy's per-array header.  Object-dtype
-        vectors (odd moduli) keep the generic form.
+        dump and load and drops numpy's per-array header.
         """
-        if self.limbs.dtype == object:
-            return (ResidueVector, (self.limbs, self.modulus))
         return (
             _rebuild_limbs,
             (self.limbs.tobytes(), int(self.limbs.shape[1]), self.modulus),
         )
 
-    def wire_copy(self) -> "tuple[ResidueVector, int] | None":
+    def wire_copy(self) -> "tuple[ResidueVector, int]":
         """The receiver's copy of this vector and its wire size, unpickled.
 
         :meth:`repro.cluster.network.Network.send` delivers a limb vector
         this way: the copy holds its own read-only limbs (only the rows
         a slice view covers), and the size equals
         ``len(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))``, pickled once
-        per shape and modulus.  Object-dtype vectors return ``None`` and
-        take the pickle round trip.
+        per shape and modulus.
         """
         limbs = self.limbs
-        if limbs.dtype == object:
-            return None
         key = (limbs.shape, self.modulus)
         size = _WIRE_SIZES.get(key)
         if size is None:
@@ -215,11 +204,6 @@ class FixedPointCodec:
         The largest number of encoded values that will ever be summed
         before decoding (the number of learners ``M`` for secure
         summation).  Determines the overflow-safe magnitude bound.
-    modulus:
-        Explicit (possibly odd) modulus overriding ``modulus_bits`` —
-        e.g. the prime field a Shamir-based aggregator operates in.  The
-        ``modulus_bits`` attribute is then ``log2(q)`` for a power of
-        two and the bit length of ``q`` otherwise.
     """
 
     def __init__(
@@ -228,7 +212,6 @@ class FixedPointCodec:
         modulus_bits: int = 128,
         *,
         max_terms: int = 1024,
-        modulus: int | None = None,
     ) -> None:
         if fractional_bits < 1:
             raise ValueError(f"fractional_bits must be >= 1, got {fractional_bits}")
@@ -236,36 +219,25 @@ class FixedPointCodec:
             raise ValueError(f"max_terms must be >= 1, got {max_terms}")
         self.fractional_bits = int(fractional_bits)
         self.max_terms = int(max_terms)
-        if modulus is not None and modulus < 4:
-            raise ValueError(f"modulus must be >= 4, got {modulus}")
-        self.modulus = int(modulus) if modulus is not None else 1 << modulus_bits
-        self._power_of_two = self.modulus & (self.modulus - 1) == 0
-        self.modulus_bits = self.modulus.bit_length() - int(self._power_of_two)
+        self.modulus_bits = int(modulus_bits)
+        self.modulus = 1 << self.modulus_bits
         if self.modulus_bits <= fractional_bits + 2:
             raise ValueError("modulus must comfortably exceed the fixed-point scale")
         self.scale: int = 1 << fractional_bits
         # Any single value must satisfy |x| * scale * max_terms < q / 2.
         self.max_magnitude: float = self.modulus / (2.0 * self.scale * self.max_terms)
+        # Limb geometry; a mask is ``_n_limbs`` uniform words with the top
+        # limb cut to size.
         self._n_limbs = (self.modulus_bits + _WORD_BITS - 1) // _WORD_BITS
-        if self._power_of_two:
-            # Limb geometry of the power-of-two fast path; a mask is
-            # ``_n_limbs`` uniform words with the top limb cut to size.
-            top_bits = self.modulus_bits - _WORD_BITS * (self._n_limbs - 1)
-            self._top_mask = (
-                _FULL_MASK if top_bits == _WORD_BITS else np.uint64((1 << top_bits) - 1)
-            )
-            self._sign_shift = np.uint64(top_bits - 1)
-            self._mask_words = self._n_limbs
-        else:
-            # One extra word keeps the modular-reduction bias below
-            # 2^-64 for odd moduli.
-            self._top_mask = _FULL_MASK
-            self._sign_shift = np.uint64(0)
-            self._mask_words = self._n_limbs + 1
+        top_bits = self.modulus_bits - _WORD_BITS * (self._n_limbs - 1)
+        self._top_mask = (
+            _FULL_MASK if top_bits == _WORD_BITS else np.uint64((1 << top_bits) - 1)
+        )
+        self._sign_shift = np.uint64(top_bits - 1)
         # Whether the top limb needs cutting at all (not when q = 2^64k).
         self._cut_top = bool(self._top_mask != _FULL_MASK)
         # One word per residue: the native int64/uint64 kernels apply.
-        self._one_word = self._power_of_two and self._n_limbs == 1
+        self._one_word = self._n_limbs == 1
 
     def decode(self, residues: ResidueVector) -> np.ndarray:
         """Decode residues back to floats (centered lift, then unscale).
@@ -275,8 +247,8 @@ class FixedPointCodec:
         are each correctly rounded, which composes to exactly the
         correctly-rounded ``int / int`` division of the exact path.
         Multi-limb magnitudes (astronomical masked shares, sums beyond
-        2^64 ulps) and object-dtype vectors take the exact per-element
-        path instead — composing floats limb-by-limb could double-round.
+        2^64 ulps) take the exact per-element path instead — composing
+        floats limb-by-limb could double-round.
         A one-word residue is sign-extended to its centered ``int64``
         value, whose ``int64 -> float64`` conversion is correctly
         rounded the same way.
@@ -287,8 +259,6 @@ class FixedPointCodec:
                 f"codec modulus {self.modulus}"
             )
         limbs = residues.limbs
-        if limbs.dtype == object:
-            return self._decode_exact(residues.to_ints())
         if self._one_word:
             # Sign-extend the k-bit residue to its centered int64 value.
             shift = _WORD_BITS - self.modulus_bits
@@ -317,11 +287,7 @@ class FixedPointCodec:
         """The all-zero residue vector of length ``n`` in packed form."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        if self._power_of_two:
-            return ResidueVector(
-                np.zeros((n, self._n_limbs), dtype=np.uint64), self.modulus
-            )
-        return ResidueVector(np.array([0] * n, dtype=object), self.modulus)
+        return ResidueVector(np.zeros((n, self._n_limbs), dtype=np.uint64), self.modulus)
 
     def encode_array(self, values: ArrayLike) -> ResidueVector:
         """Encode a float vector as a packed :class:`ResidueVector`.
@@ -339,9 +305,6 @@ class FixedPointCodec:
             # two's-complement word reduced mod 2^k is the residue.
             words = scaled.astype(np.int64).view(np.uint64) & self._top_mask
             return ResidueVector(words.reshape(-1, 1), self.modulus)
-        if not self._power_of_two:
-            ints = [int(v) % self.modulus for v in scaled]
-            return ResidueVector(np.array(ints, dtype=object), self.modulus)
         negative = scaled < 0.0
         magnitude = np.abs(scaled)
         limbs = np.empty((arr.shape[0], self._n_limbs), dtype=np.uint64)
@@ -358,30 +321,24 @@ class FixedPointCodec:
     def random_vector_array(self, n: int, rng: np.random.Generator) -> ResidueVector:
         """A uniformly random packed residue vector (a one-time pad mask).
 
-        All ``n × words`` 64-bit words come from one
-        ``rng.integers(0, 2**64, size=(n, words), dtype=uint64)`` draw,
+        All ``n × L`` 64-bit words come from one
+        ``rng.integers(0, 2**64, size=(n, L), dtype=uint64)`` draw,
         which advances the generator by exactly that many raw words.
         When the bit generator's raw output is a full 64-bit word the
         words are taken from ``random_raw`` instead: the same words and
-        end state, without the bounded-integer machinery.
-        For ``q = 2^k``, ``words`` is the limb count and the top limb is
-        cut to ``k`` bits, which is exactly uniform.  For odd ``q`` one
-        extra word is drawn and the little-endian composition reduced
-        mod ``q`` (bias below ``2^-64``).
+        end state, without the bounded-integer machinery.  The top limb
+        is cut to the ring's ``k`` bits, which is exactly uniform.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        shape = (n, self._mask_words)
+        shape = (n, self._n_limbs)
         if isinstance(rng.bit_generator, _RAW_WORD_GENERATORS):
             words = rng.bit_generator.random_raw(shape)
         else:
             words = rng.integers(0, _WORD_MOD, size=shape, dtype=np.uint64)
-        if self._power_of_two:
-            if self._cut_top:
-                words[:, -1] &= self._top_mask
-            return ResidueVector(words, self.modulus)
-        ints = [v % self.modulus for v in _limbs_to_ints(words)]
-        return ResidueVector(np.array(ints, dtype=object), self.modulus)
+        if self._cut_top:
+            words[:, -1] &= self._top_mask
+        return ResidueVector(words, self.modulus)
 
     def sum_arrays(
         self, plus: Sequence[ResidueVector], minus: Sequence[ResidueVector] = ()
@@ -395,14 +352,10 @@ class FixedPointCodec:
         more limbs each 64-bit limb is split into two 32-bit halves,
         every half-limb column is summed over all operands in ``int64``
         (no overflow below 2^31 operands), and one signed carry pass
-        folds the column sums back into limbs.  Object-dtype vectors sum
-        their Python ints exactly.
+        folds the column sums back into limbs.
         """
         k = len(plus)
         arrays = self._operand_limbs([*plus, *minus])
-        if not self._power_of_two:
-            total = sum(arrays[:k]) - sum(arrays[k:])
-            return ResidueVector(total % self.modulus, self.modulus)
         if self._one_word:
             if k:
                 total = arrays[0].copy()
@@ -439,10 +392,9 @@ class FixedPointCodec:
         too_big = np.abs(arr) >= self.max_magnitude
         if too_big.any():
             worst = float(np.max(np.abs(arr)))
-            ring = f"2^{self.modulus_bits}" if self._power_of_two else str(self.modulus)
             raise OverflowError(
                 f"value magnitude {worst:g} exceeds the overflow-safe bound "
-                f"{self.max_magnitude:g} of the ring Z_q, q = {ring}, with "
+                f"{self.max_magnitude:g} of the ring Z_q, q = 2^{self.modulus_bits}, with "
                 f"fractional_bits={self.fractional_bits} and "
                 f"max_terms={self.max_terms}"
             )

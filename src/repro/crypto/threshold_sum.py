@@ -8,13 +8,22 @@ this with threshold secret sharing; this module implements that
 extension on the same simulated substrate so the trade-off can be
 measured (see the fault-injection tests):
 
-1. each Mapper fixed-point-encodes its vector into the prime field and
-   **Shamir-shares** every element among all M Mappers with threshold
-   ``t`` (Mapper *j* holds the evaluations at x = j+1);
+1. each Mapper fixed-point-encodes its vector as signed 64-bit words,
+   reduces them onto three word-sized prime planes
+   (:mod:`repro.crypto.secret_sharing`) and **Shamir-shares** every
+   element of every plane among all M Mappers with threshold ``t``
+   (Mapper *j* holds the evaluations at x = j+1);
 2. each Mapper sums, elementwise, all the shares it holds — Shamir
    sharing is linear, so these are shares *of the sum*;
 3. alive Mappers send their aggregated share to the Reducer;
-4. the Reducer Lagrange-interpolates from any ``t`` aggregated shares.
+4. the Reducer Lagrange-interpolates from any ``t`` aggregated shares
+   and lifts the planes back to the 64-bit word by the Chinese
+   remainder theorem.
+
+Shares travel as ``uint32`` planes of shape ``(n, 3)``.  The codec is
+the trainer's one-word ``FixedPointCodec(40, 64, max_terms=M)``, so a
+value's magnitude bound is ``2^23 / M``, as on the fresh path, and the
+sum of all M inputs stays below 2^63, where the lift is exact.
 
 Privacy: any coalition of fewer than ``t`` Mappers (plus the Reducer,
 who only ever sees shares of the *sum*) learns nothing about an
@@ -29,9 +38,11 @@ import numpy as np
 from repro.cluster.network import Network
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import (
-    MERSENNE_PRIME_127,
-    shamir_lagrange_weights,
+    add_shares,
+    planes_to_words,
+    shamir_reconstruct,
     shamir_share,
+    word_planes,
 )
 from repro.obs.audit import ProtocolAuditLog
 from repro.utils.rng import as_rng, spawn_rngs
@@ -52,11 +63,6 @@ class ThresholdSummationProtocol:
         The Reducer node id.
     threshold:
         Minimum number of surviving Mappers needed to reconstruct.
-    codec:
-        Fixed-point codec; must operate in the protocol's prime field
-        (constructed automatically when omitted).
-    prime:
-        The Shamir field.
     audit:
         Optional :class:`~repro.obs.audit.ProtocolAuditLog`; when given,
         each round's share distribution and reconstruction are recorded
@@ -70,8 +76,6 @@ class ThresholdSummationProtocol:
         reducer_id: str,
         *,
         threshold: int | None = None,
-        codec: FixedPointCodec | None = None,
-        prime: int = MERSENNE_PRIME_127,
         seed: int | np.random.Generator | None = None,
         audit: ProtocolAuditLog | None = None,
     ) -> None:
@@ -88,12 +92,7 @@ class ThresholdSummationProtocol:
         self.network = network
         self.participants = list(participant_ids)
         self.reducer_id = reducer_id
-        self.prime = prime
-        if codec is None:
-            codec = FixedPointCodec(fractional_bits=40, max_terms=max(n, 2), modulus=prime)
-        elif codec.modulus != prime:
-            raise ValueError("codec modulus must equal the Shamir field prime")
-        self.codec = codec
+        self.codec = FixedPointCodec(40, 64, max_terms=n)
         self.audit = audit
         for node in [*self.participants, reducer_id]:
             network.register(node)
@@ -166,32 +165,28 @@ class ThresholdSummationProtocol:
             return self.codec.decode(totals)
 
     def _run_round(self, values: dict[str, np.ndarray], alive: list[str]) -> ResidueVector:
-        """Steps 1-4 of one round; returns the reconstructed residues."""
+        """Steps 1-4 of one round; returns the reconstructed words."""
         metrics = self.network.metrics
         tracer = self.network.tracer
         n = len(self.participants)
         # Step 1: share each element among all participants.
-        # incoming[dst] = one share vector from each participant.
-        incoming: dict[str, list[list[int]]] = {p: [] for p in self.participants}
+        # incoming[dst] = one share plane from each participant.
+        incoming: dict[str, list[np.ndarray]] = {p: [] for p in self.participants}
         with tracer.span("crypto.share_distribution", kind="crypto"):
             # Every input is encoded before any share is sent, so an
             # overflow leaves no message in flight.
-            encoded = {p: self.codec.encode_array(values[p]) for p in self.participants}
+            encoded = {
+                p: word_planes(self.codec.encode_array(values[p]).limbs)
+                for p in self.participants
+            }
             for src in self.participants:
-                rng = self._rngs[src]
-                per_dst: list[list[int]] = [[] for _ in range(n)]
-                for residue in encoded[src]:
-                    shares = shamir_share(
-                        residue, n, self.threshold, prime=self.prime, rng=rng
-                    )
-                    for j, (_, share_value) in enumerate(shares):
-                        per_dst[j].append(share_value)
-                    metrics.increment("crypto.shamir_shares_generated", n)
-                for j, dst in enumerate(self.participants):
+                shares = shamir_share(encoded[src], n, self.threshold, self._rngs[src])
+                metrics.increment("crypto.shamir_shares_generated", n * len(encoded[src]))
+                for dst, share in zip(self.participants, shares.astype(np.uint32)):
                     if dst == src:
-                        incoming[dst].append(per_dst[j])
+                        incoming[dst].append(share)
                     else:
-                        self.network.send(src, dst, per_dst[j], kind="threshold-share")
+                        self.network.send(src, dst, share, kind="threshold-share")
             for dst in self.participants:
                 for _ in range(n - 1):
                     incoming[dst].append(
@@ -200,13 +195,10 @@ class ThresholdSummationProtocol:
 
         # Step 2/3: alive participants aggregate their shares and
         # forward.  Shamir sharing is linear, so the elementwise sum
-        # of held share vectors — one batched modular sum — is a
-        # share vector of the summed secret.
+        # of held share planes is a share of the summed secret.
         with tracer.span("crypto.share_aggregation", kind="crypto"):
             for p in alive:
-                aggregated = self.codec.sum_arrays(
-                    [self._field_vector(shares) for shares in incoming[p]]
-                )
+                aggregated = add_shares(incoming[p]).astype(np.uint32)
                 x_coord = self.participants.index(p) + 1
                 self.network.send(
                     p, self.reducer_id, (x_coord, aggregated), kind="threshold-agg-share"
@@ -215,14 +207,12 @@ class ThresholdSummationProtocol:
                     self.audit.share_sent(p)
 
         # Step 4: reconstruct from the first `threshold` aggregated
-        # shares.  The Lagrange-at-zero weights depend only on the
-        # x-coordinates, so they are computed once and applied to the
-        # whole vector as a weighted modular sum — identical residues
-        # to per-element interpolation.
+        # shares with Lagrange-at-zero weights per prime, then lift the
+        # planes back to the codec's 64-bit word.
         with tracer.span(
             "crypto.shamir_reconstruct", kind="crypto", node=self.reducer_id
         ):
-            received: list[tuple[int, ResidueVector]] = []
+            received: list[tuple[int, np.ndarray]] = []
             for _ in alive:
                 message = self.network.receive_message(
                     self.reducer_id, kind="threshold-agg-share"
@@ -231,18 +221,11 @@ class ThresholdSummationProtocol:
                 if self.audit is not None:
                     self.audit.share_received(message.src)
             chosen = received[: self.threshold]
-            weights = shamir_lagrange_weights([x for x, _ in chosen], prime=self.prime)
-            totals = self.codec.sum_arrays(
-                [
-                    self._field_vector([(weight * int(s)) % self.prime for s in share_vec])
-                    for weight, (_, share_vec) in zip(weights, chosen)
-                ]
+            planes = shamir_reconstruct(
+                [x for x, _ in chosen], np.stack([share for _, share in chosen])
             )
-        return totals
-
-    def _field_vector(self, residues: list[int]) -> ResidueVector:
-        """Field elements as an object-dtype residue vector mod the prime."""
-        return ResidueVector(np.array(residues, dtype=object), self.prime)
+            words = planes_to_words(planes)
+        return ResidueVector(words.reshape(-1, 1), self.codec.modulus)
 
 
 class ThresholdSumAggregator:
@@ -260,13 +243,11 @@ class ThresholdSumAggregator:
         self,
         *,
         threshold: int | None = None,
-        prime: int = MERSENNE_PRIME_127,
         seed: int | np.random.Generator | None = None,
         dropout_schedule: dict[int, set[str]] | None = None,
         audit: ProtocolAuditLog | None = None,
     ) -> None:
         self.threshold = threshold
-        self.prime = prime
         self.seed = as_rng(seed)
         self.dropout_schedule = dropout_schedule or {}
         self.audit = audit
@@ -287,7 +268,6 @@ class ThresholdSumAggregator:
                 participants,
                 reducer_id,
                 threshold=self.threshold,
-                prime=self.prime,
                 seed=self.seed,
                 audit=self.audit,
             )

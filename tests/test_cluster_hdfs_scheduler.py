@@ -1,7 +1,12 @@
 """Unit tests for the simulated HDFS and the locality scheduler."""
 
+import pickle
+import types
+
+import numpy as np
 import pytest
 
+from repro.cluster import hdfs as hdfs_module
 from repro.cluster.hdfs import HdfsError, SimulatedHdfs
 from repro.cluster.network import Network
 from repro.cluster.scheduler import LocalityScheduler
@@ -116,6 +121,61 @@ class TestReads:
         assert not hdfs.exists("g")
         assert hdfs.n_blocks("f") == 2
         assert not hdfs.is_private("f")
+
+
+class TestTransfersAreDelivered:
+    def test_replicas_and_remote_reads_leave_no_message_behind(self, monkeypatch):
+        # Each replica stores the copy it received, a remote read returns
+        # the reader's copy, and the byte and count accounting is the
+        # same as when the copies stayed queued in the inboxes.  A block
+        # is pickled to size it only when it has no replica.
+        sized = []
+
+        def dumps(payload, protocol):
+            sized.append(payload)
+            return pickle.dumps(payload, protocol)
+
+        monkeypatch.setattr(
+            hdfs_module,
+            "pickle",
+            types.SimpleNamespace(dumps=dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL),
+        )
+        network = Network()
+        hdfs = SimulatedHdfs(network, replication=3)
+        for i in range(3):
+            hdfs.add_datanode(f"n{i}")
+        blocks = [np.arange(1000.0), -np.arange(1000.0)]
+        hdfs.put("shared", blocks, preferred_nodes=["n0", "n1"])
+        assert sized == []
+        hdfs.put("single", [np.ones(1000)], preferred_nodes=["n2"], replication=1)
+        assert len(sized) == 1
+        read = hdfs.read_block("n0", "single", 0)
+        for node in network.node_ids:
+            for kind in ("hdfs-replication", "hdfs-remote-read"):
+                assert network.pending(node, kind) == 0
+        size = len(pickle.dumps(blocks[0], protocol=pickle.HIGHEST_PROTOCOL))
+        assert size == 8128
+        counters = {
+            name: value
+            for name, value in network.metrics.as_dict().items()
+            if name.startswith(("hdfs.", "network.messages", "network.bytes"))
+        }
+        assert counters == {
+            "hdfs.blocks_written": 3,
+            "hdfs.remote_reads": 1,
+            "network.messages": 5,
+            "network.messages.hdfs-replication": 4,
+            "network.messages.hdfs-remote-read": 1,
+            "network.bytes": 5 * size,
+            "network.bytes.hdfs-replication": 4 * size,
+            "network.bytes.hdfs-remote-read": size,
+        }
+        np.testing.assert_array_equal(read, np.ones(1000))
+        replica = hdfs.read_block("n2", "shared", 0)  # a local read
+        np.testing.assert_array_equal(replica, blocks[0])
+        assert replica is not blocks[0]
+        assert hdfs._storage["n2"]["shared#0"].size_bytes == size
+        assert hdfs._storage["n2"]["single#0"].size_bytes == size
 
 
 class TestLocalityScheduler:

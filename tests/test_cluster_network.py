@@ -9,7 +9,6 @@ import repro.cluster.network as network_module
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.network import LatencyModel, Message, Network, NetworkError
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
-from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 from tests.test_crypto_fixed_point_vectorized import CODEC_CONFIGS
 
 
@@ -249,19 +248,17 @@ class TestResiduePayloads:
         assert received.limbs.flags.c_contiguous
         assert message.size_bytes == pickled_size(view) == pickled_size(received)
 
-    def test_object_dtype_payload_still_decodes(self):
-        codec = FixedPointCodec(modulus=MERSENNE_PRIME_127)
-        values = np.array([-3.25, 0.0, 1e-9, 7.5])
-        encoded = codec.encode_array(values)
-        assert encoded.wire_copy() is None
+    def test_share_plane_takes_the_pickle_round_trip(self):
+        # The threshold sum's uint32 share planes are plain arrays: one
+        # pickle buffer gives the receiver's copy and the wire size.
+        plane = np.random.default_rng(5).integers(0, 2**32, size=(600, 3), dtype=np.uint32)
         network = pair()
-        message = network.send("a", "b", encoded, kind="share")
-        received = network.receive("b", kind="share")
-        assert isinstance(received, ResidueVector)
-        assert received.limbs.dtype == object
-        assert received.limbs is not encoded.limbs
-        assert message.size_bytes == pickled_size(encoded)
-        np.testing.assert_array_equal(codec.decode(received), codec.decode(encoded))
+        message = network.send("a", "b", plane, kind="threshold-share")
+        received = network.receive("b", kind="threshold-share")
+        assert received.dtype == np.uint32
+        assert np.array_equal(received, plane)
+        assert not np.shares_memory(received, plane)
+        assert message.size_bytes == pickled_size(plane)
 
 
 class TestLatencyModel:

@@ -10,11 +10,12 @@ from repro.core.feature_selection import (
     secure_feature_selection,
 )
 from repro.core.horizontal_linear import HorizontalLinearSVM
-from repro.core.partitioning import horizontal_partition
+from repro.core.partitioning import horizontal_partition, vertical_partition
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.crypto.threshold_sum import ThresholdSumAggregator
 from repro.data.dataset import Dataset
-from repro.data.synthetic import make_blobs, make_cancer_like
+from repro.data import StandardScaler, train_test_split
+from repro.data.synthetic import make_blobs, make_cancer_like, make_ocr_like
 from repro.utils.rng import as_rng
 
 
@@ -172,3 +173,29 @@ class TestThresholdAggregatorTraining:
         reference = PrivacyPreservingSVM("horizontal", max_iter=10, seed=0).fit(parts)
         np.testing.assert_allclose(model._variant.reducer_.z, reference._variant.reducer_.z, atol=1e-8)
         assert model.score(test.X, test.y) > 0.85
+
+    @pytest.mark.parametrize(
+        "partitioning, split",
+        [("horizontal", horizontal_partition), ("vertical", vertical_partition)],
+        ids=["h-lin", "v-lin"],
+    )
+    def test_scores_equal_the_fresh_fit_exactly(self, partitioning, split):
+        # Both aggregators decode the same one-word fixed-point sum, so
+        # a threshold fit with dropouts scores exactly like a fresh one
+        # (160 standardized OCR-like rows split 50/50, 4 learners).
+        train, test = train_test_split(make_ocr_like(160, seed=0), 0.5, seed=1)
+        scaler = StandardScaler().fit(train.X)
+        train, test = scaler.transform_dataset(train), scaler.transform_dataset(test)
+        parts = split(train, 4, seed=1)
+        config = dict(C=50.0, rho=100.0, max_iter=10, seed=1, on_health="ignore")
+        fresh = PrivacyPreservingSVM(partitioning, **config).fit(parts)
+        schedule = {3: {"learner-1"}, 5: {"learner-2"}}
+        robust = PrivacyPreservingSVM(
+            partitioning,
+            aggregator=ThresholdSumAggregator(threshold=3, seed=1, dropout_schedule=schedule),
+            **config,
+        ).fit(parts)
+        assert robust.network_.messages_sent("threshold-agg-share") == 10 * 4 - 2
+        assert np.array_equal(
+            robust.decision_function(test.X), fresh.decision_function(test.X)
+        )

@@ -80,13 +80,6 @@ class TestGuards:
         with pytest.raises(ValueError):
             FixedPointCodec(fractional_bits=40, modulus_bits=41)
 
-    def test_explicit_power_of_two_modulus_bits_is_log2(self):
-        assert FixedPointCodec(modulus=2**128).modulus_bits == 128
-        assert FixedPointCodec(modulus=2**96).modulus_bits == 96
-        assert FixedPointCodec(modulus_bits=128).modulus_bits == 128
-        # Odd moduli keep their bit length.
-        assert FixedPointCodec(modulus=2**127 - 1).modulus_bits == 127
-
     def test_invalid_max_terms(self):
         with pytest.raises(ValueError):
             FixedPointCodec(max_terms=0)

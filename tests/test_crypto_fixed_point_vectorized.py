@@ -4,8 +4,8 @@ The codec (packed ``uint64`` limb arrays, one-block mask draws, batched
 modular sums) must give *identical* results to the per-element
 Python-int arithmetic of the codec's former list API, which this file
 keeps as its reference (``reference_*`` below): same residues, same
-decoded floats, same masks from the same generator, for both the
-power-of-two moduli and an odd prime field.  A regression here means
+decoded floats, same masks from the same generator, for one-word and
+multi-limb rings.  A regression here means
 protocol transcripts or training trajectories have changed.
 """
 
@@ -18,21 +18,18 @@ from numpy.random import default_rng
 
 from repro.cluster.network import Network
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
-from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 
 CODEC_CONFIGS = [
     pytest.param({}, id="pow2-128-default"),
     pytest.param({"modulus_bits": 64, "fractional_bits": 20}, id="pow2-64"),
     pytest.param({"modulus_bits": 96, "fractional_bits": 30}, id="pow2-96"),
-    pytest.param({"modulus": 1 << 128}, id="explicit-pow2-128"),
-    pytest.param({"modulus": MERSENNE_PRIME_127}, id="mersenne-prime-127"),
+    pytest.param({"modulus_bits": 192}, id="pow2-192"),
 ]
 
 
 def mask_words(codec: FixedPointCodec) -> int:
-    """64-bit words per mask element: ceil(log2 q / 64), +1 for odd q."""
-    words = (codec.modulus_bits + 63) // 64
-    return words if codec.modulus & (codec.modulus - 1) == 0 else words + 1
+    """64-bit words per mask element: ceil(log2 q / 64)."""
+    return (codec.modulus_bits + 63) // 64
 
 
 def reference_random_vector(codec: FixedPointCodec, n: int, rng) -> list[int]:
@@ -59,15 +56,8 @@ def reference_decode(codec: FixedPointCodec, residues: list[int]) -> np.ndarray:
     )
 
 
-def is_pow2(codec: FixedPointCodec) -> bool:
-    return codec.modulus & (codec.modulus - 1) == 0
-
-
 def pack(codec: FixedPointCodec, residues: list[int]) -> ResidueVector:
-    """Reduced Python-int residues in the codec's packed layout: uint64
-    limbs for ``q = 2^k``, an object-dtype array for odd ``q``."""
-    if not is_pow2(codec):
-        return ResidueVector(np.array(residues, dtype=object), codec.modulus)
+    """Reduced Python-int residues in the codec's packed uint64 limbs."""
     n_limbs = (codec.modulus_bits + 63) // 64
     limbs = np.array(
         [[(r >> (64 * i)) & (2**64 - 1) for i in range(n_limbs)] for r in residues],
@@ -188,11 +178,10 @@ class TestRandomVectorStream:
         )
 
     def test_backends_draw_identical_residues(self, codec, make_rng):
-        # Both storage layouts (uint64 limbs for q = 2^k, Python ints for
-        # odd q) draw the reference residues.
+        # The packed uint64 limbs draw the reference residues.
         packed = codec.random_vector_array(65, make_rng(19))
         assert packed.to_ints() == reference_random_vector(codec, 65, make_rng(19))
-        assert packed.limbs.dtype == (object if codec.modulus % 2 else np.uint64)
+        assert packed.limbs.dtype == np.uint64
 
     def test_draw_advances_generator_by_n_times_words(self, codec, make_rng):
         n = 21
@@ -242,16 +231,6 @@ class TestSumArrays:
             [v.to_ints() for v in plus], [v.to_ints() for v in minus], codec.modulus
         )
         assert codec.sum_arrays(plus, minus).to_ints() == expected
-
-    def test_prime_modulus_and_list_operands(self):
-        # Int lists wrapped as object-dtype vectors, the way the Shamir
-        # threshold sum wraps its per-peer share lists.
-        codec = FixedPointCodec(modulus=MERSENNE_PRIME_127)
-        rng = default_rng(3)
-        a, b, c = (reference_random_vector(codec, 12, rng) for _ in range(3))
-        expected = reference_sum([a, b], [c], codec.modulus)
-        total = codec.sum_arrays([pack(codec, a), pack(codec, b)], [pack(codec, c)])
-        assert total.to_ints() == expected
 
     def test_only_minus_operands_negate(self):
         codec = FixedPointCodec()
@@ -305,7 +284,7 @@ class TestSumArraysContract:
             codec.sum_arrays([a], [b[:10]])
         with pytest.raises(ValueError, match="length mismatch"):
             codec.sum_arrays([a, b[:3]])
-        foreign = FixedPointCodec(modulus=codec.modulus * 2 + 1).random_vector_array(
+        foreign = FixedPointCodec(modulus_bits=codec.modulus_bits + 1).random_vector_array(
             11, default_rng(3)
         )
         with pytest.raises(ValueError, match="modulus"):
@@ -321,8 +300,7 @@ class TestSumArraysContract:
         stacked = pack(codec, [x for v in vecs[3:] for x in v.to_ints()])
         views = [stacked[i * 11 : (i + 1) * 11] for i in range(3)]
         before = [v.limbs.copy() for v in wire + views]
-        if is_pow2(codec):
-            assert not any(v.limbs.flags.writeable for v in wire)
+        assert not any(v.limbs.flags.writeable for v in wire)
         for plus, minus in [(wire, views), (views, wire), (views[:1], []), ([], wire)]:
             total = codec.sum_arrays(plus, minus)
             expected = reference_sum(
@@ -374,11 +352,11 @@ class TestResidueVectorContainer:
     def test_iter_getitem_len_eq(self, codec):
         ints = reference_random_vector(codec, 12, default_rng(29))
         packed = pack(codec, ints)
-        other = ResidueVector(np.array(ints, dtype=object), codec.modulus)
+        other = ResidueVector(np.asfortranarray(packed.limbs.copy()), codec.modulus)
         assert len(packed) == 12
         assert [int(v) for v in packed] == ints
         assert [packed[i] for i in range(12)] == ints
-        # Equality is value-based, independent of the backing layout.
+        # Equality is value-based, independent of the memory layout.
         assert packed == other
         assert packed != pack(codec, [(v + 1) % codec.modulus for v in ints])
 
@@ -410,7 +388,6 @@ WIRE_CODECS = [
     pytest.param({"modulus_bits": 64, "fractional_bits": 20}, id="pow2-64"),
     pytest.param({"modulus_bits": 96, "fractional_bits": 30}, id="pow2-96"),
     pytest.param({}, id="pow2-128"),
-    pytest.param({"modulus": MERSENNE_PRIME_127}, id="mersenne-prime-127"),
 ]
 
 
@@ -432,7 +409,7 @@ class TestWireForm:
         assert codec.sum_arrays([restored], [vec]).to_ints() == [0] * n
 
     @pytest.mark.parametrize("n", [1, 65, 600])
-    @pytest.mark.parametrize("config", WIRE_CODECS[:3])
+    @pytest.mark.parametrize("config", WIRE_CODECS)
     def test_limb_vector_size_is_payload_plus_small_header(self, config, n):
         vec = FixedPointCodec(**config).random_vector_array(n, default_rng(41))
         blob = pickle.dumps(vec, protocol=pickle.HIGHEST_PROTOCOL)

@@ -5,11 +5,11 @@ import pytest
 
 from repro.crypto.paillier import PaillierKeyPair, is_probable_prime
 from repro.crypto.secret_sharing import (
-    MERSENNE_PRIME_127,
-    additive_reconstruct,
-    additive_share,
+    SHARE_PRIMES,
+    planes_to_words,
     shamir_reconstruct,
     shamir_share,
+    word_planes,
 )
 
 
@@ -83,69 +83,55 @@ class TestPaillier:
             PaillierKeyPair.generate(bits=32)
 
 
-class TestAdditiveSharing:
-    def test_reconstruction(self, rng):
-        secret = 123456789
-        shares = additive_share(secret, 5, rng=rng)
-        assert additive_reconstruct(shares) == secret
+def planes_of(*secrets):
+    """Signed 64-bit secrets as (n, 3) residue planes."""
+    return word_planes(np.array(secrets, dtype=np.int64).view(np.uint64))
 
-    def test_negative_secret_mod_group(self, rng):
-        modulus = 1 << 64
-        shares = additive_share(-5, 3, modulus=modulus, rng=rng)
-        assert additive_reconstruct(shares, modulus=modulus) == (-5) % modulus
 
-    def test_single_share_uninformative_shape(self, rng):
-        # All proper subsets are uniform: different secrets can yield the
-        # same first n-1 shares under suitable last shares.
-        shares_a = additive_share(1, 3, rng=np.random.default_rng(0))
-        shares_b = additive_share(10**18, 3, rng=np.random.default_rng(0))
-        assert shares_a[:2] == shares_b[:2]  # same rng -> same masks
-        assert shares_a[2] != shares_b[2]
-
-    def test_needs_two_shares(self):
-        with pytest.raises(ValueError):
-            additive_share(1, 1)
-
-    def test_empty_reconstruct_rejected(self):
-        with pytest.raises(ValueError):
-            additive_reconstruct([])
+def secrets_of(planes):
+    return planes_to_words(planes).view(np.int64).tolist()
 
 
 class TestShamir:
     def test_exact_threshold_reconstructs(self, rng):
-        secret = 42424242
-        shares = shamir_share(secret, 5, 3, rng=rng)
-        assert shamir_reconstruct(shares[:3]) == secret
+        secret = planes_of(42424242, -7)
+        shares = shamir_share(secret, 5, 3, rng)
+        assert shares.shape == (5, 2, 3)
+        assert secrets_of(shamir_reconstruct([1, 2, 3], shares[:3])) == [42424242, -7]
 
     def test_any_subset_of_threshold_size(self, rng):
-        secret = 777
-        shares = shamir_share(secret, 6, 3, rng=rng)
+        secret = planes_of(777)
+        shares = shamir_share(secret, 6, 3, rng)
         for subset in ([0, 2, 4], [1, 3, 5], [0, 4, 5]):
-            assert shamir_reconstruct([shares[i] for i in subset]) == secret
+            xs = [i + 1 for i in subset]
+            assert secrets_of(shamir_reconstruct(xs, shares[subset])) == [777]
 
     def test_below_threshold_gives_wrong_answer(self, rng):
-        secret = 999
-        shares = shamir_share(secret, 5, 3, rng=rng)
+        secret = planes_of(999)
+        shares = shamir_share(secret, 5, 3, rng)
         # 2 shares interpolate a line — almost surely not the secret.
-        assert shamir_reconstruct(shares[:2]) != secret
+        assert not np.array_equal(shamir_reconstruct([1, 2], shares[:2]), secret)
 
     def test_threshold_one_is_replication(self, rng):
-        shares = shamir_share(31337, 4, 1, rng=rng)
-        assert all(value == 31337 for _, value in shares)
+        secret = planes_of(31337)
+        shares = shamir_share(secret, 4, 1, rng)
+        assert all(np.array_equal(share, secret) for share in shares)
 
     def test_large_secret_in_field(self, rng):
-        secret = MERSENNE_PRIME_127 - 2
-        shares = shamir_share(secret, 3, 2, rng=rng)
-        assert shamir_reconstruct(shares[:2]) == secret
+        # The extremes of the signed 64-bit word lift back exactly.
+        extremes = [2**63 - 1, -(2**63) + 1, -1, 0]
+        secret = planes_of(*extremes)
+        assert (secret < np.array(SHARE_PRIMES, dtype=np.uint64)).all()
+        shares = shamir_share(secret, 3, 2, rng)
+        assert secrets_of(shamir_reconstruct([2, 3], shares[1:])) == extremes
 
     def test_duplicate_indices_rejected(self, rng):
-        shares = shamir_share(5, 3, 2, rng=rng)
+        shares = shamir_share(planes_of(5), 3, 2, rng)
         with pytest.raises(ValueError, match="duplicate"):
-            shamir_reconstruct([shares[0], shares[0]])
+            shamir_reconstruct([1, 1], shares[[0, 0]])
 
-    def test_invalid_parameters(self):
+    def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
-            shamir_share(1, 2, 3)
+            shamir_share(planes_of(1), 2, 3, rng)
         with pytest.raises(ValueError):
-            shamir_share(1, 3, 0)
-
+            shamir_share(planes_of(1), 3, 0, rng)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster.network import Network, NetworkError
 from repro.crypto.fixed_point import FixedPointCodec
-from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
 from repro.obs.audit import ProtocolAuditLog
 
@@ -53,13 +52,11 @@ class TestBatchedNetting:
     """Each participant nets its pads in one batched modular sum."""
 
     # "packed": the codec's default 128-bit ring (two uint64 limbs);
-    # "one-word": the trainer's 64-bit ring (native one-word kernels);
-    # "legacy": the object-dtype Python-int path, which
-    # ``vectorized=False`` used to force and odd moduli still take.
+    # "one-word": the trainer's 64-bit ring (native one-word kernels).
     @pytest.mark.parametrize(
         "ring",
-        [{"modulus_bits": 128}, {"modulus": MERSENNE_PRIME_127}, {"modulus_bits": 64}],
-        ids=["packed", "legacy", "one-word"],
+        [{"modulus_bits": 128}, {"modulus_bits": 64}],
+        ids=["packed", "one-word"],
     )
     @pytest.mark.parametrize("n_participants", [2, 3, 8])
     @pytest.mark.parametrize("mode", ["fresh", "prg"])
@@ -91,10 +88,12 @@ class TestBatchedNetting:
         assert sum(record.masks_removed.values()) == m * (m - 1)
         assert record.ok
 
+    # "odd-width-96": a ring that is not a whole number of words, whose
+    # top limb the masks and the netting cut to 32 bits.
     @pytest.mark.parametrize(
         "codec_kwargs",
-        [{"modulus_bits": 64}, {"modulus": MERSENNE_PRIME_127}],
-        ids=["one-word-64", "mersenne-prime-127"],
+        [{"modulus_bits": 64}, {"modulus_bits": 96}],
+        ids=["one-word-64", "odd-width-96"],
     )
     @pytest.mark.parametrize("mode", ["fresh", "prg"])
     def test_one_word_and_odd_rings_equal_plaintext(self, mode, codec_kwargs, rng):
@@ -200,8 +199,8 @@ class TestProtocolShape:
 
     @pytest.mark.parametrize(
         "ring",
-        [{"modulus_bits": 64}, {"modulus_bits": 128}, {"modulus": MERSENNE_PRIME_127}],
-        ids=["one-word-64", "packed-128", "mersenne-prime-127"],
+        [{"modulus_bits": 64}, {"modulus_bits": 128}],
+        ids=["one-word-64", "packed-128"],
     )
     def test_masks_and_shares_keep_their_pickled_wire_size(self, ring, rng):
         m = 4
@@ -217,9 +216,8 @@ class TestProtocolShape:
         assert len(wire) == m * (m - 1) + m
         for msg in wire:
             assert msg.size_bytes == len(pickle.dumps(msg.payload, pickle.HIGHEST_PROTOCOL))
-            # Limb payloads arrive as read-only copies; odd-modulus ones
-            # as the pickle round trip's fresh object array.
-            assert msg.payload.limbs.flags.writeable == (msg.payload.limbs.dtype == object)
+            # Limb payloads arrive as read-only copies.
+            assert not msg.payload.limbs.flags.writeable
         assert network.bytes_sent() == sum(msg.size_bytes for msg in network.message_log)
 
 

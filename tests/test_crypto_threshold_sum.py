@@ -1,11 +1,17 @@
 """Tests for the dropout-robust (Shamir-based) secure summation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.cluster.network import Network, NetworkError
-from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
-from repro.crypto.secret_sharing import MERSENNE_PRIME_127
+from repro.crypto.fixed_point import ResidueVector
+from repro.crypto.secret_sharing import (
+    SHARE_PRIMES,
+    planes_to_words,
+    shamir_reconstruct,
+)
 from repro.crypto.secure_sum import SecureSummationProtocol
 from repro.crypto.threshold_sum import ThresholdSummationProtocol
 from repro.obs.audit import ProtocolAuditLog
@@ -57,6 +63,35 @@ class TestCorrectness:
     def test_default_threshold_majority(self):
         _, _, protocol = make_protocol(n=6, threshold=None)
         assert protocol.threshold == 4
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_survivor_set_returns_the_codec_sum_exactly(self, n):
+        # Values up to 0.99 of the bound: the sum of all n inputs nears
+        # 2^63 in the 64-bit word, where the CRT lift must stay exact.
+        rng = np.random.default_rng(n)
+        participants = [f"m{i}" for i in range(n)]
+        for threshold in range(2, n + 1):
+            protocol = ThresholdSummationProtocol(
+                Network(keep_log=False), participants, "red", threshold=threshold, seed=n
+            )
+            codec = protocol.codec
+            bound = 0.99 * codec.max_magnitude
+            values = {p: rng.uniform(-bound, bound, size=8) for p in participants}
+            values[participants[0]][:2] = [bound, -bound]
+            expected = codec.decode(
+                codec.sum_arrays([codec.encode_array(v) for v in values.values()])
+            )
+            for k in range(threshold, n + 1):
+                for alive in itertools.combinations(participants, k):
+                    dropouts = set(participants) - set(alive)
+                    result = protocol.sum_vectors(values, dropouts=dropouts)
+                    assert np.array_equal(result, expected), (threshold, alive)
+
+    def test_codec_is_the_trainers_one_word_ring(self):
+        _, _, protocol = make_protocol(n=8, threshold=5)
+        codec = protocol.codec
+        assert (codec.fractional_bits, codec.modulus_bits, codec.max_terms) == (40, 64, 8)
+        assert codec.max_magnitude == 2.0**23 / 8
 
 
 class TestRobustnessLimits:
@@ -131,12 +166,13 @@ class TestRobustnessLimits:
         with pytest.raises(ValueError, match="reducer"):
             ThresholdSummationProtocol(Network(), ["a", "r"], "r", threshold=2)
 
-    def test_codec_field_mismatch(self):
-        codec = FixedPointCodec()  # power-of-two modulus, not the prime
-        with pytest.raises(ValueError, match="field"):
-            ThresholdSummationProtocol(
-                Network(), ["a", "b"], "r", threshold=2, codec=codec
-            )
+    def test_value_past_the_bound_sends_nothing(self):
+        network, participants, protocol = make_protocol(n=4, threshold=3)
+        values = {p: np.zeros(3) for p in participants}
+        values["m2"][1] = -protocol.codec.max_magnitude
+        with pytest.raises(OverflowError, match="overflow-safe bound"):
+            protocol.sum_vectors(values)
+        assert network.messages_sent() == 0
 
 
 class TestPrivacyShape:
@@ -151,11 +187,29 @@ class TestPrivacyShape:
         network, participants, protocol = make_protocol()
         values = {p: np.full(3, 5.0) for p in participants}
         protocol.sum_vectors(values)
-        # A single peer-to-peer share decodes to garbage.
+        # A single peer-to-peer share lifts and decodes to garbage.
         peer_shares = [m for m in network.message_log if m.kind == "threshold-share"]
-        share = ResidueVector(np.array(peer_shares[0].payload, dtype=object), protocol.prime)
-        decoded = protocol.codec.decode(share)
+        words = planes_to_words(peer_shares[0].payload.astype(np.uint64))
+        decoded = protocol.codec.decode(ResidueVector(words.reshape(-1, 1), 2**64))
         assert np.max(np.abs(decoded - 5.0)) > 1e6
+
+    def test_share_planes_are_uniform_per_prime(self):
+        # Like share_uniformity_statistic: the top byte of each residue
+        # (its value scaled to [0, 256) by its prime), chi-squared per
+        # degree of freedom, ~1 for uniform planes.  Every input is the
+        # same constant, so any leak of the secret would concentrate mass.
+        network, participants, protocol = make_protocol(n=5, threshold=3)
+        protocol.sum_vectors({p: np.full(1000, 5.0) for p in participants})
+        planes = np.concatenate(
+            [m.payload for m in network.message_log if m.kind == "threshold-share"]
+        )
+        assert planes.shape == (20 * 1000, 3)
+        for column, prime in enumerate(SHARE_PRIMES):
+            top = planes[:, column].astype(np.uint64) * np.uint64(256) // np.uint64(prime)
+            counts = np.bincount(top.astype(np.int64), minlength=256)
+            expected = len(top) / 256.0
+            stat = float(np.sum((counts - expected) ** 2 / expected)) / 255.0
+            assert 0.7 < stat < 1.4, (prime, stat)
 
     def test_below_threshold_shares_insufficient(self, rng):
         # threshold-1 aggregated shares interpolate the wrong value.
@@ -164,14 +218,16 @@ class TestPrivacyShape:
         expected = float(sum(values.values())[0])
         protocol.sum_vectors(values)
         agg = [m.payload for m in network.message_log if m.kind == "threshold-agg-share"]
-        from repro.crypto.secret_sharing import shamir_reconstruct
 
-        points = [(x, shares[0]) for x, shares in agg[:2]]  # only 2 of 3
-        secret = shamir_reconstruct(points, prime=protocol.prime)
-        wrong = protocol.codec.decode(
-            ResidueVector(np.array([secret], dtype=object), protocol.prime)
-        )
-        assert abs(float(wrong[0]) - expected) > 1e-6
+        def interpolate(chosen):
+            planes = shamir_reconstruct(
+                [x for x, _ in chosen], np.stack([share for _, share in chosen])
+            )
+            words = planes_to_words(planes).reshape(-1, 1)
+            return float(protocol.codec.decode(ResidueVector(words, 2**64))[0])
+
+        assert interpolate(agg[:3]) == pytest.approx(expected, abs=1e-9)
+        assert abs(interpolate(agg[:2]) - expected) > 1e-6  # only 2 of 3
 
 
 class TestCost:
@@ -184,3 +240,22 @@ class TestCost:
             costs[n] = network.messages_sent("threshold-share")
         assert costs[3] == 3 * 2
         assert costs[6] == 6 * 5
+
+    def test_wire_form_is_uint32_planes(self, rng):
+        # M(M-1) peer shares and one aggregated share per survivor, each
+        # a (n, 3) uint32 plane; 600 elements cost ~7.3 kB a share.
+        network, participants, protocol = make_protocol(n=8, threshold=5)
+        values = {p: rng.normal(size=600) for p in participants}
+        protocol.sum_vectors(values, dropouts={"m1", "m6"})
+        shares = [m for m in network.message_log if m.kind == "threshold-share"]
+        agg = [m for m in network.message_log if m.kind == "threshold-agg-share"]
+        assert len(shares) == 8 * 7
+        assert [m.src for m in agg] == [p for p in participants if p not in {"m1", "m6"}]
+        for message in shares:
+            assert message.payload.dtype == np.uint32
+            assert message.payload.shape == (600, 3)
+            assert 600 * 3 * 4 < message.size_bytes <= 7400
+        for message in agg:
+            assert message.payload[1].dtype == np.uint32
+            assert message.payload[1].shape == (600, 3)
+        assert network.metrics.get("crypto.shamir_shares_generated") == 8 * 8 * 600

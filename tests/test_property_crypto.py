@@ -8,10 +8,10 @@ from repro.cluster.network import Network
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.paillier import PaillierKeyPair
 from repro.crypto.secret_sharing import (
-    additive_reconstruct,
-    additive_share,
+    planes_to_words,
     shamir_reconstruct,
     shamir_share,
+    word_planes,
 )
 from repro.crypto.secure_sum import SecureSummationProtocol
 
@@ -70,21 +70,21 @@ class TestSecureSumProperties:
 
 
 class TestSecretSharingProperties:
-    @given(st.integers(0, 2**100), st.integers(2, 10), st.integers(0, 2**31 - 1))
+    @given(
+        st.lists(st.integers(-(2**63) + 1, 2**63 - 1), min_size=1, max_size=8),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**31 - 1),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_additive_roundtrip(self, secret, n_shares, seed):
-        rng = np.random.default_rng(seed)
-        shares = additive_share(secret, n_shares, rng=rng)
-        assert additive_reconstruct(shares) == secret % (1 << 128)
-
-    @given(st.integers(0, 2**100), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_shamir_roundtrip_any_threshold_subset(self, secret, threshold, extra, seed):
+    def test_shamir_roundtrip_any_threshold_subset(self, secrets, threshold, extra, seed):
         rng = np.random.default_rng(seed)
         n_shares = threshold + extra
-        shares = shamir_share(secret, n_shares, threshold, rng=rng)
+        planes = word_planes(np.array(secrets, dtype=np.int64).view(np.uint64))
+        shares = shamir_share(planes, n_shares, threshold, rng)
         chosen = list(rng.choice(n_shares, size=threshold, replace=False))
-        assert shamir_reconstruct([shares[i] for i in chosen]) == secret
+        recovered = shamir_reconstruct([i + 1 for i in chosen], shares[chosen])
+        assert planes_to_words(recovered).view(np.int64).tolist() == secrets
 
 
 class TestPaillierProperties:

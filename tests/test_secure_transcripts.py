@@ -2,7 +2,7 @@
 
 ``fixtures/secure_transcripts.json`` holds, for tiny fresh-mode secure
 fits of H-lin and V-lin and for single ``SecureSummationProtocol``
-rounds in a 128-bit ring (fresh and prg) and the Mersenne-127 field:
+rounds in a 128-bit ring (fresh and prg):
 
 * every message on the wire as ``(seq, src, dst, kind, size_bytes,
   digest)``, the digest a SHA-256 of the payload's residues (or of its
@@ -32,7 +32,6 @@ from repro.cluster.network import Network
 from repro.core.partitioning import horizontal_partition, vertical_partition
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
-from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 from repro.crypto.secure_sum import SecureSummationProtocol
 from repro.data.synthetic import make_linear_task
 
@@ -41,7 +40,6 @@ FITS = ["h-lin-fresh", "v-lin-fresh"]
 ROUNDS = {
     "ring128-fresh": ({}, "fresh"),
     "ring128-prg": ({}, "prg"),
-    "mersenne127-fresh": ({"modulus": MERSENNE_PRIME_127}, "fresh"),
 }
 
 

@@ -140,16 +140,15 @@ class TestUniformityAndLeak:
     @pytest.mark.parametrize(
         "codec",
         [
-            FixedPointCodec(modulus=2**128),
             FixedPointCodec(modulus_bits=128),
             FixedPointCodec(modulus_bits=64),
         ],
-        ids=["explicit-modulus", "modulus-bits", "one-word-64"],
+        ids=["modulus-bits", "one-word-64"],
     )
     def test_uniformity_of_20k_shares_near_one(self, codec, rng):
-        # The statistic reads the top byte of log2(q)-bit residues; an
-        # off-by-one shift for an explicit power-of-two modulus halves
-        # the byte range and reads ~80 on perfectly uniform shares.
+        # The statistic reads the top byte of log2(q)-bit residues; a
+        # shift off by one halves the byte range and reads ~80 on
+        # perfectly uniform shares.
         network = Network()
         participants = [f"m{i}" for i in range(4)]
         protocol = SecureSummationProtocol(

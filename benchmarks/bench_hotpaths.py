@@ -58,7 +58,7 @@ from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
 from repro.crypto.threshold_sum import ThresholdSummationProtocol
 from repro.data import StandardScaler, train_test_split
 from repro.data.synthetic import make_linear_task, make_ocr_like
-from repro.svm.knapsack import solve_quadratic_knapsack
+from repro.svm.knapsack import QuadraticKnapsack
 from repro.svm.qp import solve_box_qp
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -273,16 +273,17 @@ def bench_box_qp(results: list[dict], *, smoke: bool) -> None:
 
 
 def bench_reducer_knapsack(results: list[dict], *, smoke: bool) -> None:
-    """The V-lin Reducer's eq. (29) knapsack: n = 600, c = +-1, box [0, 50]."""
+    """The V-lin Reducer's eq. (29) knapsack: n = 600, c = +-1, box [0, 50],
+    prepared once and solved for one round's ``d``, as the Reducer does."""
     print("reducer knapsack:")
     n, learners, rho = 600, 3, 100.0
     rng = np.random.default_rng(6)
     y = rng.choice([-1.0, 1.0], size=n)
     d = learners * y * rng.normal(size=n) - 1.0
-    a = np.full(n, learners / rho)
+    knapsack = QuadraticKnapsack(np.full(n, learners / rho), y, 0.0, 0.0, 50.0)
     repeats = 20 if smoke else 200
-    wall = _timeit(lambda: solve_quadratic_knapsack(a, d, y, 0.0, 0.0, 50.0), repeats=repeats)
-    _record(results, "knapsack.solve_quadratic_knapsack", {"n": n, "upper": 50.0}, wall)
+    wall = _timeit(lambda: knapsack.solve(d), repeats=repeats)
+    _record(results, "knapsack.prepared_solve", {"n": n, "upper": 50.0}, wall)
 
 
 def bench_network_send(results: list[dict], *, smoke: bool) -> None:
@@ -304,6 +305,28 @@ def bench_network_send(results: list[dict], *, smoke: bool) -> None:
     wall = _timeit(send_batch, repeats=3 if smoke else 7) / batch
     size = network.bytes_sent("mask") / network.messages_sent("mask")
     _record(results, "network.send_receive", {"words": 600, "modulus_bits": 64}, wall, size)
+
+
+def bench_network_broadcast(results: list[dict], *, smoke: bool) -> None:
+    """One ``Network.broadcast`` of the V-lin Reducer's state (a 600-float
+    correction and the bias) to 8 mapper nodes, and their receives."""
+    print("network broadcast:")
+    network = Network(keep_log=False)
+    nodes = [f"m{i}" for i in range(8)]
+    for node in ["reducer", *nodes]:
+        network.register(node)
+    state = {"correction": np.random.default_rng(10).normal(size=600), "bias": 0.5}
+    batch = 20 if smoke else 200
+
+    def broadcast_batch():
+        for _ in range(batch):
+            network.broadcast("reducer", nodes, state, kind="broadcast")
+            for node in nodes:
+                network.receive_message(node, kind="broadcast")
+
+    wall = _timeit(broadcast_batch, repeats=3 if smoke else 7) / batch
+    size = network.bytes_sent("broadcast") / network.messages_sent("broadcast")
+    _record(results, "network.broadcast", {"nodes": 8, "words": 600}, wall, size * len(nodes))
 
 
 def bench_inprocess_fits(results: list[dict], *, smoke: bool) -> None:
@@ -453,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_box_qp(results, smoke=args.smoke)
     bench_reducer_knapsack(results, smoke=args.smoke)
     bench_network_send(results, smoke=args.smoke)
+    bench_network_broadcast(results, smoke=args.smoke)
     bench_inprocess_fits(results, smoke=args.smoke)
     bench_end_to_end(results, smoke=args.smoke, ledger_dir=args.ledger)
 

@@ -142,6 +142,69 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _SpanScope:
+    """What an enabled recorder's :meth:`TraceRecorder.span` returns.
+
+    Entering opens the :class:`Span` (start times, parent, stack push)
+    and returns it; leaving closes it and stores it, within the
+    recorder's ``max_records``, whether or not the body raised.
+    """
+
+    __slots__ = ("_recorder", "_name", "_kind", "_node", "_iteration", "_attrs", "_record")
+    _record: Span
+
+    def __init__(
+        self,
+        recorder: "TraceRecorder",
+        name: str,
+        kind: str,
+        node: str | None,
+        iteration: int | None,
+        attrs: dict[str, Any],
+    ) -> None:
+        self._recorder = recorder
+        self._name = name
+        self._kind = kind
+        self._node = node
+        self._iteration = iteration
+        self._attrs = attrs
+
+    def __enter__(self) -> Span:
+        recorder = self._recorder
+        stack = recorder._stack
+        sim_clock = recorder.sim_clock
+        iteration = self._iteration
+        record = Span(
+            span_id=recorder._next_id,
+            parent_id=stack[-1] if stack else None,
+            name=self._name,
+            kind=self._kind,
+            node=self._node,
+            iteration=iteration if iteration is not None else recorder._iteration,
+            start_wall_s=time.perf_counter() - recorder._origin,
+            start_sim_s=sim_clock() if sim_clock is not None else None,
+            attrs=self._attrs,
+        )
+        recorder._next_id += 1
+        stack.append(record.span_id)
+        self._record = record
+        return record
+
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
+        recorder = self._recorder
+        record = self._record
+        recorder._stack.pop()
+        record.duration_wall_s = time.perf_counter() - recorder._origin - record.start_wall_s
+        sim_clock = recorder.sim_clock
+        if record.start_sim_s is not None and sim_clock is not None:
+            record.duration_sim_s = sim_clock() - record.start_sim_s
+        if recorder._stored < recorder.max_records:
+            recorder._stored += 1
+            recorder.spans.append(record)
+        else:
+            recorder.dropped += 1
+
+
 class TraceRecorder:
     """Records spans, events, and per-iteration counter totals for one run.
 
@@ -226,7 +289,7 @@ class TraceRecorder:
         if self.registry is None:
             return
         booked = self._booked
-        for name, value in self.registry.as_dict().items():
+        for name, value in self.registry.items():
             previous = booked.get(name, 0.0)
             if value != previous:
                 # A fall means the registry was reset: all of it is new.
@@ -250,40 +313,7 @@ class TraceRecorder:
         """
         if not self.enabled:
             return _NULL_SPAN
-        return self._span(name, kind, node, iteration, attrs)
-
-    @contextmanager
-    def _span(
-        self, name: str, kind: str, node: str | None, iteration: int | None, attrs: dict[str, Any]
-    ) -> Iterator[Span]:
-        stack = self._stack
-        record = Span(
-            span_id=self._next_id,
-            parent_id=stack[-1] if stack else None,
-            name=name,
-            kind=kind,
-            node=node,
-            iteration=iteration if iteration is not None else self._iteration,
-            start_wall_s=time.perf_counter() - self._origin,
-            start_sim_s=self.sim_clock() if self.sim_clock is not None else None,
-            attrs=attrs,
-        )
-        self._next_id += 1
-        stack.append(record.span_id)
-        try:
-            yield record
-        finally:
-            stack.pop()
-            record.duration_wall_s = (
-                time.perf_counter() - self._origin - record.start_wall_s
-            )
-            if record.start_sim_s is not None and self.sim_clock is not None:
-                record.duration_sim_s = self.sim_clock() - record.start_sim_s
-            if self._stored < self.max_records:
-                self._stored += 1
-                self.spans.append(record)
-            else:
-                self.dropped += 1
+        return _SpanScope(self, name, kind, node, iteration, attrs)
 
     def event(
         self,
@@ -331,7 +361,7 @@ class TraceRecorder:
         self._stored = 0
         self._stack.clear()
         self._iteration = None
-        self._booked = {} if self.registry is None else self.registry.as_dict()
+        self._booked = {} if self.registry is None else dict(self.registry.items())
 
     # -- aggregation ----------------------------------------------------
 

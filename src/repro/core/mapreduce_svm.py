@@ -42,7 +42,7 @@ from repro.cluster.twister import (
 )
 from repro.core.results import IterationRecord, TrainingHistory
 from repro.data.dataset import Dataset
-from repro.svm.knapsack import solve_quadratic_knapsack
+from repro.svm.knapsack import QuadraticKnapsack
 from repro.svm.model import accuracy
 from repro.utils.validation import check_labels, check_matrix, check_positive
 
@@ -240,6 +240,15 @@ class VerticalConsensusReducer(_RecordingReducer):
             raise ValueError(f"n_learners must be >= 2, got {n_learners}")
         self.n_learners = int(n_learners)
         n = self.y.shape[0]
+        # The hinge proximal's knapsack dual: only its linear term
+        # changes from round to round.
+        self._knapsack = QuadraticKnapsack(
+            a=np.full(n, float(self.n_learners) / self.rho),
+            c=self.y,
+            r=0.0,
+            lower=0.0,
+            upper=self.C,
+        )
         self.zbar = np.zeros(n)
         self.u = np.zeros(n)
         self.bias = 0.0
@@ -280,15 +289,7 @@ class VerticalConsensusReducer(_RecordingReducer):
         cbar = abar + self.u
 
         # Hinge proximal via its exact knapsack dual.
-        result = solve_quadratic_knapsack(
-            a=np.full(n, M / self.rho),
-            d=M * self.y * cbar - 1.0,
-            c=self.y,
-            r=0.0,
-            lower=0.0,
-            upper=self.C,
-        )
-        lam = result.x
+        lam = self._knapsack.solve(M * self.y * cbar - 1.0).x
         self.zbar = cbar + self.y * lam / self.rho
         self.u = cbar - self.zbar
         self.bias = self._recover_bias(lam)

@@ -200,81 +200,80 @@ class SecureSummationProtocol:
 
     def _run_round(self, flat: list[np.ndarray], n: int) -> ResidueVector:
         """Steps 1-5 of one round; returns the Reducer's residue sum."""
-        metrics = self.network.metrics
-        tracer = self.network.tracer
+        network, codec, audit = self.network, self.codec, self.audit
+        participants, reducer_id = self.participants, self.reducer_id
+        metrics, tracer = network.metrics, network.tracer
+        # The per-message callables, looked up once per round.
+        send, receive_message = network.send, network.receive_message
         # One encode for all participants (the overflow check runs
         # before any mask is drawn); each share starts from its
         # row slice of the result.
-        stacked = self.codec.encode_array(np.concatenate(flat))
-        encoded = {
-            p: stacked[i * n : (i + 1) * n] for i, p in enumerate(self.participants)
-        }
+        stacked = codec.encode_array(np.concatenate(flat))
+        encoded = {p: stacked[i * n : (i + 1) * n] for i, p in enumerate(participants)}
         # Each participant's pads: ``added`` enter its share with +,
         # ``removed`` with -.
-        added: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
-        removed: dict[str, list[ResidueVector]] = {p: [] for p in self.participants}
+        added: dict[str, list[ResidueVector]] = {p: [] for p in participants}
+        removed: dict[str, list[ResidueVector]] = {p: [] for p in participants}
+        random_vector_array = codec.random_vector_array
 
         if self.mode == "fresh":
             # Steps 1-3: generate and exchange the pairwise masks;
             # each joins its generator's Sed and its receiver's Rev.
+            n_others = len(participants) - 1
             with tracer.span("crypto.mask_exchange", kind="crypto"):
-                for sender in self.participants:
+                for sender in participants:
                     sender_rng = self._rngs[sender]
-                    for receiver in self.participants:
+                    sed = added[sender]
+                    for receiver in participants:
                         if receiver == sender:
                             continue
-                        mask = self.codec.random_vector_array(n, sender_rng)
-                        self.network.send(sender, receiver, mask, kind="mask")
-                        added[sender].append(mask)  # Sed
-                        if self.audit is not None:
-                            self.audit.mask_applied(sender, receiver)
-                    metrics.increment(
-                        "crypto.masks_generated", len(self.participants) - 1
-                    )
-                for receiver in self.participants:
-                    for _ in range(len(self.participants) - 1):
-                        mask_message = self.network.receive_message(
-                            receiver, kind="mask"
-                        )
+                        mask = random_vector_array(n, sender_rng)
+                        send(sender, receiver, mask, kind="mask")
+                        sed.append(mask)
+                        if audit is not None:
+                            audit.mask_applied(sender, receiver)
+                    metrics.increment("crypto.masks_generated", n_others)
+                for receiver in participants:
+                    rev = removed[receiver]
+                    for _ in range(n_others):
+                        mask_message = receive_message(receiver, kind="mask")
                         if self._audit_fault == (mask_message.src, receiver):
                             continue  # injected fault: mask never netted
-                        removed[receiver].append(mask_message.payload)  # Rev
-                        if self.audit is not None:
-                            self.audit.mask_removed(receiver, mask_message.src)
+                        rev.append(mask_message.payload)
+                        if audit is not None:
+                            audit.mask_removed(receiver, mask_message.src)
         else:
             # PRG mode: pads come from the shared pairwise streams; the
             # lower-indexed partner adds, the higher-indexed one
             # subtracts.
             with tracer.span("crypto.pad_derivation", kind="crypto"):
                 for (a, b), pair_rng in self._pair_rngs.items():
-                    pad = self.codec.random_vector_array(n, pair_rng)
+                    pad = random_vector_array(n, pair_rng)
                     metrics.increment("crypto.masks_generated", 1)
                     added[a].append(pad)
                     removed[b].append(pad)
-                    if self.audit is not None:
-                        self.audit.pad_derived(a, b)
+                    if audit is not None:
+                        audit.pad_derived(a, b)
 
         # Step 4: masked shares w_i + Sed_i - Rev_i, each one batched
         # modular sum, to the Reducer.
         with tracer.span("crypto.masked_shares", kind="crypto"):
-            for p in self.participants:
-                share = self.codec.sum_arrays([encoded[p], *added[p]], removed[p])
-                self.network.send(p, self.reducer_id, share, kind="masked-share")
+            for p in participants:
+                share = codec.sum_arrays([encoded[p], *added[p]], removed[p])
+                send(p, reducer_id, share, kind="masked-share")
                 metrics.increment("crypto.masked_shares_sent", 1)
-                if self.audit is not None:
-                    self.audit.share_sent(p)
+                if audit is not None:
+                    audit.share_sent(p)
 
         # Step 5: the Reducer sums; the pads cancel telescopically.
-        with tracer.span("crypto.reduce_sum", kind="crypto", node=self.reducer_id):
+        with tracer.span("crypto.reduce_sum", kind="crypto", node=reducer_id):
             shares: list[ResidueVector] = []
-            for _ in self.participants:
-                message = self.network.receive_message(
-                    self.reducer_id, kind="masked-share"
-                )
+            for _ in participants:
+                message = receive_message(reducer_id, kind="masked-share")
                 shares.append(message.payload)
-                if self.audit is not None:
-                    self.audit.share_received(message.src)
-            total = self.codec.sum_arrays(shares)
+                if audit is not None:
+                    audit.share_received(message.src)
+            total = codec.sum_arrays(shares)
         return total
 
 

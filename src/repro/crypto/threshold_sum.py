@@ -272,6 +272,9 @@ class ThresholdSumAggregator:
                 audit=self.audit,
             )
         keys = sorted(outputs[participants[0]])
+        for p in participants:
+            if sorted(outputs[p]) != keys:
+                raise ValueError(f"mapper {p!r} produced keys {sorted(outputs[p])}, expected {keys}")
         layout = [
             (k, np.asarray(outputs[participants[0]][k], dtype=float).shape) for k in keys
         ]

@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 
+_NO_OPEN_ROUND = "no audit round is open; call begin_round first"
+
+
 class ProtocolAuditError(RuntimeError):
     """Raised at ``end_round`` when ``on_violation="raise"`` and an
     invariant failed."""
@@ -154,6 +157,10 @@ class ProtocolAuditLog:
         self.rounds: list[RoundAudit] = []
         self._current: RoundAudit | None = None
         self._agreed_seeds: set[tuple[str, str]] = set()
+        # The open round's mask pairs, in feed order; ``end_round``
+        # counts them into the round's Counters before checking.
+        self._masks_applied: list[tuple[str, str]] = []
+        self._masks_removed: list[tuple[str, str]] = []
 
     # -- protocol feed --------------------------------------------------
 
@@ -184,11 +191,15 @@ class ProtocolAuditLog:
 
     def mask_applied(self, generator: str, target: str) -> None:
         """``generator`` added a mask destined for ``target`` to its share."""
-        self._round().masks_applied[(generator, target)] += 1
+        if self._current is None:
+            raise RuntimeError(_NO_OPEN_ROUND)
+        self._masks_applied.append((generator, target))
 
     def mask_removed(self, receiver: str, src: str) -> None:
         """``receiver`` netted off a mask it received from ``src``."""
-        self._round().masks_removed[(receiver, src)] += 1
+        if self._current is None:
+            raise RuntimeError(_NO_OPEN_ROUND)
+        self._masks_removed.append((receiver, src))
 
     def pad_derived(self, a: str, b: str) -> None:
         """A pairwise PRG pad was derived (+ for one partner, − for the other)."""
@@ -215,6 +226,8 @@ class ProtocolAuditLog:
         next ``begin_round`` starts clean.
         """
         self._current = None
+        self._masks_applied.clear()
+        self._masks_removed.clear()
 
     # -- invariant checks -----------------------------------------------
 
@@ -222,6 +235,10 @@ class ProtocolAuditLog:
         """Close the round, check every invariant, and emit audit events."""
         record = self._round()
         self._current = None
+        record.masks_applied.update(self._masks_applied)
+        record.masks_removed.update(self._masks_removed)
+        self._masks_applied.clear()
+        self._masks_removed.clear()
         self._check_participant_floor(record)
         self._check_mask_balance(record)
         self._check_pair_seeds(record)
@@ -390,7 +407,7 @@ class ProtocolAuditLog:
 
     def _round(self) -> RoundAudit:
         if self._current is None:
-            raise RuntimeError("no audit round is open; call begin_round first")
+            raise RuntimeError(_NO_OPEN_ROUND)
         return self._current
 
     @staticmethod

@@ -24,7 +24,7 @@ from repro.svm.kernels import (
     SigmoidKernel,
     kernel_by_name,
 )
-from repro.svm.knapsack import solve_quadratic_knapsack
+from repro.svm.knapsack import QuadraticKnapsack, solve_quadratic_knapsack
 from repro.svm.model import SVC, LinearSVC
 from repro.svm.multiclass import OneVsOneClassifier, OneVsRestClassifier
 from repro.svm.qp import solve_box_qp
@@ -40,6 +40,7 @@ __all__ = [
     "OneVsRestClassifier",
     "PlattCalibrator",
     "PolynomialKernel",
+    "QuadraticKnapsack",
     "RBFKernel",
     "SVC",
     "SigmoidKernel",

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.utils.validation import check_vector
 
-__all__ = ["KnapsackResult", "solve_quadratic_knapsack"]
+__all__ = ["KnapsackResult", "QuadraticKnapsack", "solve_quadratic_knapsack"]
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,19 @@ class KnapsackResult:
     iterations: int
 
 
-def solve_quadratic_knapsack(
-    a,
-    d,
-    c,
-    r: float = 0.0,
-    lower=0.0,
-    upper=np.inf,
-) -> KnapsackResult:
-    """Solve the diagonal QP with one equality constraint described above.
+class QuadraticKnapsack:
+    """The problem above with ``a``, ``c``, ``r`` and the box fixed, ready
+    to solve for any linear term ``d``.
+
+    Construction validates the fixed data, checks feasibility once and
+    precomputes ``c/a``, ``a·lo``, ``a·hi`` and ``c²/a``, so each
+    :meth:`solve` pays only for its ``d`` — what the vertical Reducer
+    needs, whose ``d`` alone changes from one ADMM round to the next.
 
     Parameters
     ----------
     a:
         Strictly positive diagonal of the Hessian.
-    d:
-        Linear term.
     c:
         Equality-constraint coefficients (e.g. the labels ``y_i``); must
         not be all zero unless ``r`` is 0.
@@ -85,76 +82,102 @@ def solve_quadratic_knapsack(
         If the problem is infeasible (no x in the box satisfies the
         equality constraint) or ``a`` is not strictly positive.
     """
-    a = check_vector(a, "a")
-    n = a.shape[0]
-    if np.any(a <= 0.0):
-        raise ValueError("diagonal Hessian entries must be strictly positive")
-    d = check_vector(d, "d", length=n)
-    c = check_vector(c, "c", length=n)
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
-    if np.any(lo > hi):
-        raise ValueError("lower bound exceeds upper bound on some coordinate")
-    r = float(r)
 
-    # Feasibility check: the range of sum c_i x_i over the box.
-    # Coordinates with c_i == 0 add 0 (not 0 * inf) to either end.
-    max_sum = float(c @ np.where(c > 0, hi, np.where(c < 0, lo, 0.0)))
-    min_sum = float(c @ np.where(c > 0, lo, np.where(c < 0, hi, 0.0)))
-    if not (min_sum - 1e-9 <= r <= max_sum + 1e-9):
-        raise ValueError(
-            f"infeasible knapsack: r={r} outside achievable range [{min_sum}, {max_sum}]"
+    def __init__(self, a, c, r: float = 0.0, lower=0.0, upper=np.inf) -> None:
+        a = check_vector(a, "a")
+        n = a.shape[0]
+        if np.any(a <= 0.0):
+            raise ValueError("diagonal Hessian entries must be strictly positive")
+        c = check_vector(c, "c", length=n)
+        lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
+        hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
+        if np.any(lo > hi):
+            raise ValueError("lower bound exceeds upper bound on some coordinate")
+        r = float(r)
+
+        # Feasibility check: the range of sum c_i x_i over the box.
+        # Coordinates with c_i == 0 add 0 (not 0 * inf) to either end.
+        max_sum = float(c @ np.where(c > 0, hi, np.where(c < 0, lo, 0.0)))
+        min_sum = float(c @ np.where(c > 0, lo, np.where(c < 0, hi, 0.0)))
+        if not (min_sum - 1e-9 <= r <= max_sum + 1e-9):
+            raise ValueError(
+                f"infeasible knapsack: r={r} outside achievable range [{min_sum}, {max_sum}]"
+            )
+        self.a, self.c, self.r, self.lo, self.hi = a, c, r, lo, hi
+        self._step = c / a
+        self._a_lo = a * lo
+        self._a_hi = a * hi
+        self._c_step = c * self._step
+
+    def solve(self, d) -> KnapsackResult:
+        """Minimize with linear term ``d`` (a vector of length ``n``)."""
+        a, c, r, lo, hi, step = self.a, self.c, self.r, self.lo, self.hi, self._step
+        d = check_vector(d, "d", length=a.shape[0])
+        base = -d / a
+
+        def x_of(nu: float) -> np.ndarray:
+            return np.minimum(np.maximum(base - nu * step, lo), hi)
+
+        def phi(nu: float) -> float:
+            return float(c @ x_of(nu)) - r
+
+        # x_i moves with nu only on [start_i, end_i] and sits at a bound
+        # outside it.  Coordinates with c_i == 0 get infinite or NaN ends;
+        # they never move and weigh nothing in the slope.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_lo = (-d - self._a_lo) / c
+            at_hi = (-d - self._a_hi) / c
+        start = np.minimum(at_lo, at_hi)
+        end = np.maximum(at_lo, at_hi)
+        kinks = np.concatenate([start, end])
+        kinks = np.sort(kinks[np.isfinite(kinks)])
+        m = kinks.shape[0]
+
+        # Binary search for the first kink with phi <= 0; the root lies on
+        # the linear piece that ends there.
+        values: dict[int, float] = {}
+        first, last = 0, m
+        while first < last:
+            mid = (first + last) // 2
+            values[mid] = phi(float(kinks[mid]))
+            if values[mid] <= 0.0:
+                last = mid
+            else:
+                first = mid + 1
+        left = kinks[first - 1] if first > 0 else -np.inf
+        right = kinks[first] if first < m else np.inf
+        free = (start <= left) & (end >= right)
+        slope = float(self._c_step @ free)
+
+        # On the piece phi(nu) = phi(anchor) - slope * (nu - anchor).
+        if first < m:
+            anchor, value = float(kinks[first]), values[first]
+        elif m:
+            anchor, value = float(kinks[m - 1]), values[m - 1]
+        else:
+            anchor, value = 0.0, phi(0.0)
+        nu = anchor + value / slope if slope > 0.0 else anchor
+
+        x = x_of(nu)
+        return KnapsackResult(
+            x=x,
+            nu=nu,
+            constraint_residual=abs(float(c @ x) - r),
+            iterations=len(values),
         )
 
-    base, step = -d / a, c / a
 
-    def x_of(nu: float) -> np.ndarray:
-        return np.minimum(np.maximum(base - nu * step, lo), hi)
+def solve_quadratic_knapsack(
+    a,
+    d,
+    c,
+    r: float = 0.0,
+    lower=0.0,
+    upper=np.inf,
+) -> KnapsackResult:
+    """Solve the diagonal QP with one equality constraint described above.
 
-    def phi(nu: float) -> float:
-        return float(c @ x_of(nu)) - r
-
-    # x_i moves with nu only on [start_i, end_i] and sits at a bound
-    # outside it.  Coordinates with c_i == 0 get infinite or NaN ends;
-    # they never move and weigh nothing in the slope.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at_lo = (-d - a * lo) / c
-        at_hi = (-d - a * hi) / c
-    start = np.minimum(at_lo, at_hi)
-    end = np.maximum(at_lo, at_hi)
-    kinks = np.concatenate([start, end])
-    kinks = np.sort(kinks[np.isfinite(kinks)])
-    m = kinks.shape[0]
-
-    # Binary search for the first kink with phi <= 0; the root lies on
-    # the linear piece that ends there.
-    values: dict[int, float] = {}
-    first, last = 0, m
-    while first < last:
-        mid = (first + last) // 2
-        values[mid] = phi(float(kinks[mid]))
-        if values[mid] <= 0.0:
-            last = mid
-        else:
-            first = mid + 1
-    left = kinks[first - 1] if first > 0 else -np.inf
-    right = kinks[first] if first < m else np.inf
-    free = (start <= left) & (end >= right)
-    slope = float((c * step) @ free)
-
-    # On the piece phi(nu) = phi(anchor) - slope * (nu - anchor).
-    if first < m:
-        anchor, value = float(kinks[first]), values[first]
-    elif m:
-        anchor, value = float(kinks[m - 1]), values[m - 1]
-    else:
-        anchor, value = 0.0, phi(0.0)
-    nu = anchor + value / slope if slope > 0.0 else anchor
-
-    x = x_of(nu)
-    return KnapsackResult(
-        x=x,
-        nu=nu,
-        constraint_residual=abs(float(c @ x) - r),
-        iterations=len(values),
-    )
+    One-shot form of ``QuadraticKnapsack(a, c, r, lower, upper).solve(d)``;
+    see :class:`QuadraticKnapsack` for the parameters and the errors.
+    """
+    return QuadraticKnapsack(a, c, r, lower, upper).solve(d)

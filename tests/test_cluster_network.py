@@ -1,6 +1,7 @@
 """Unit tests for the simulated network and metric registry."""
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,38 @@ class TestMetricRegistry:
         m.increment("a", 5)
         m.reset()
         assert m.get("a") == 0.0
+
+    def test_increment_many_equals_one_increment_per_pair(self):
+        batched, single = MetricRegistry(), MetricRegistry()
+        pairs = [("net.bytes", 10), ("net.msgs", 1), ("net.bytes", 2.5), ("t.s", 1e-6)]
+        batched.increment_many(*pairs)
+        for name, amount in pairs:
+            single.increment(name, amount)
+        assert batched.as_dict() == single.as_dict() == {
+            "net.bytes": 12.5, "net.msgs": 1.0, "t.s": 1e-6,
+        }
+
+    @pytest.mark.parametrize(
+        "pair, error",
+        [(("bad name", 1), ValueError), (("a..b", 1), ValueError),
+         ((3, 1), TypeError), (("ok.name", -1), ValueError)],
+    )
+    def test_increment_many_checks_every_pair(self, pair, error):
+        m = MetricRegistry()
+        m.increment("ok.name", 1)
+        with pytest.raises(error):
+            m.increment_many(("ok.name", 1), pair)
+        assert m.get("ok.name") == 2.0  # the pair before it is booked
+        assert set(m.as_dict()) == {"ok.name"}
+
+    def test_items_is_a_live_view(self):
+        m = MetricRegistry()
+        m.increment("a.b", 2)
+        view = m.items()
+        m.increment("a.b", 3)
+        m.increment("c.d", 1.5)
+        assert dict(view) == {"a.b": 5, "c.d": 1.5}
+        assert dict(view) == m.as_dict()
 
 
 class TestNetworkBasics:
@@ -112,6 +145,97 @@ class TestNetworkBasics:
         assert network.pending("a", "bc") == 0
         assert network.pending("b", "bc") == 1
         assert network.pending("c", "bc") == 1
+
+
+class TestBroadcast:
+    """A payload with no ``wire_copy`` is pickled once per broadcast."""
+
+    NODES = ("src", "d0", "d1", "d2")
+
+    def broadcast(self, payload):
+        network = Network()
+        for node in self.NODES:
+            network.register(node)
+        network.broadcast("src", list(self.NODES), payload, kind="broadcast")
+        messages = [network.receive_message(node, "broadcast") for node in self.NODES[1:]]
+        return network, messages
+
+    @staticmethod
+    def state():
+        return {"correction": np.arange(5.0), "bias": 0.25, "tags": ["a", "b"]}
+
+    def test_each_destination_gets_its_own_equal_copy(self):
+        payload = self.state()
+        _, messages = self.broadcast(payload)
+        copies = [message.payload for message in messages]
+        for copy in copies:
+            assert copy is not payload
+            assert np.array_equal(copy["correction"], payload["correction"])
+            assert (copy["bias"], copy["tags"]) == (payload["bias"], payload["tags"])
+        assert len({id(copy) for copy in copies}) == len(copies)
+        assert len({id(copy["correction"]) for copy in copies}) == len(copies)
+        copies[0]["correction"][:] = -1.0
+        copies[0]["tags"].append("mutated")
+        for copy in copies[1:]:
+            assert np.array_equal(copy["correction"], np.arange(5.0))
+            assert copy["tags"] == ["a", "b"]
+        assert np.array_equal(payload["correction"], np.arange(5.0))
+
+    def test_every_message_has_the_payloads_pickled_size(self):
+        payload = self.state()
+        network, messages = self.broadcast(payload)
+        size = len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        assert [message.size_bytes for message in messages] == [size] * 3
+        assert network.bytes_sent("broadcast") == 3 * size
+        assert network.messages_sent("broadcast") == 3
+        assert [m.payload["bias"] for m in network.message_log] == [0.25] * 3
+
+    def test_one_dumps_timed_in_serialize_s(self, monkeypatch):
+        calls = {"dumps": 0, "loads": 0}
+
+        class SlowPickle:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+            def dumps(self, obj, protocol=None):
+                calls["dumps"] += 1
+                time.sleep(0.05)
+                return pickle.dumps(obj, protocol=protocol)
+
+            def loads(self, blob):
+                calls["loads"] += 1
+                return pickle.loads(blob)
+
+        monkeypatch.setattr(network_module, "pickle", SlowPickle())
+        network, messages = self.broadcast(self.state())
+        assert calls == {"dumps": 1, "loads": 3}
+        assert network.metrics.get("network.serialize_s") >= 0.05
+
+    def test_residue_vector_keeps_its_wire_copy(self, monkeypatch):
+        vec = FixedPointCodec(modulus_bits=64).random_vector_array(10, np.random.default_rng(6))
+        pair().send("a", "b", vec, kind="mask")  # sizes this shape once
+
+        class NoPickle:
+            def dumps(self, *args, **kwargs):
+                raise AssertionError("a limb vector was pickled on broadcast")
+
+        monkeypatch.setattr(network_module, "pickle", NoPickle())
+        _, messages = self.broadcast(vec)
+        for message in messages:
+            assert isinstance(message.payload, ResidueVector)
+            assert not message.payload.limbs.flags.writeable
+            assert message.payload.to_ints() == vec.to_ints()
+            assert message.size_bytes == pickled_size(vec)
+
+    def test_send_errors_are_unchanged(self):
+        network = Network()
+        for node in self.NODES:
+            network.register(node)
+        network.fail_node("d1")
+        with pytest.raises(NetworkError, match="'d1' has failed"):
+            network.broadcast("src", list(self.NODES), self.state(), kind="broadcast")
+        assert network.pending("d0", "broadcast") == 1
+        with pytest.raises(NetworkError, match="unknown node 'ghost'"):
+            network.broadcast("src", ["ghost"], self.state())
 
 
 class TestNetworkAccounting:

@@ -45,6 +45,18 @@ class TestTraceRecorder:
         # Stored innermost-first (appended at exit).
         assert [s.name for s in recorder.spans] == ["inner", "middle", "sibling", "outer"]
 
+    def test_span_closes_when_its_body_raises(self):
+        recorder = TraceRecorder(sim_clock=lambda: 2.0)
+        with pytest.raises(KeyError):
+            with recorder.span("outer"):
+                with recorder.span("inner"):
+                    raise KeyError("boom")
+        assert [s.name for s in recorder.spans] == ["inner", "outer"]
+        assert all(s.duration_sim_s == 0.0 for s in recorder.spans)
+        with recorder.span("after") as after:
+            pass
+        assert after.parent_id is None  # the stack unwound
+
     def test_iteration_tagging(self):
         recorder = TraceRecorder()
         with recorder.span("setup"):

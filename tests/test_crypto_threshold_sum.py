@@ -12,8 +12,8 @@ from repro.crypto.secret_sharing import (
     planes_to_words,
     shamir_reconstruct,
 )
-from repro.crypto.secure_sum import SecureSummationProtocol
-from repro.crypto.threshold_sum import ThresholdSummationProtocol
+from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
+from repro.crypto.threshold_sum import ThresholdSumAggregator, ThresholdSummationProtocol
 from repro.obs.audit import ProtocolAuditLog
 
 
@@ -165,6 +165,22 @@ class TestRobustnessLimits:
     def test_reducer_not_participant(self):
         with pytest.raises(ValueError, match="reducer"):
             ThresholdSummationProtocol(Network(), ["a", "r"], "r", threshold=2)
+
+    @pytest.mark.parametrize("keys", [("s",), ("s", "t", "u")], ids=["missing", "extra"])
+    @pytest.mark.parametrize(
+        "make_aggregator",
+        [lambda: ThresholdSumAggregator(threshold=2, seed=0), lambda: SecureSumAggregator(seed=0)],
+        ids=["threshold", "fresh"],
+    )
+    def test_mapper_with_other_keys_rejected(self, make_aggregator, keys):
+        # Both aggregators refuse map outputs whose names differ, naming
+        # the mapper, before any message is sent.
+        network = Network()
+        outputs = {f"m{i}": {"s": np.ones(2), "t": np.ones(1)} for i in range(3)}
+        outputs["m1"] = {key: np.ones(2) for key in keys}
+        with pytest.raises(ValueError, match="mapper 'm1' produced keys"):
+            make_aggregator().aggregate(outputs, "red", network)
+        assert network.messages_sent() == 0
 
     def test_value_past_the_bound_sends_nothing(self):
         network, participants, protocol = make_protocol(n=4, threshold=3)

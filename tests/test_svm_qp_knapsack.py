@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.svm.knapsack import solve_quadratic_knapsack
+from repro.svm.knapsack import QuadraticKnapsack, solve_quadratic_knapsack
 from repro.svm.qp import projected_gradient_residual, solve_box_qp
 
 
@@ -252,6 +252,52 @@ class TestProjectedGradientResidual:
         grad = np.array([-2.0])  # wants to increase from lower bound
         x, lo, hi = np.array([0.0]), np.array([0.0]), np.array([1.0])
         assert projected_gradient_residual(grad, x, lo, hi) == 2.0
+
+
+class TestPreparedKnapsack:
+    """One prepared problem solved for many ``d`` equals one-shot solves."""
+
+    BOXES = [(0.0, 5.0), (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 1.0), (-2.0, 3.0)]
+
+    @pytest.mark.parametrize("lower, upper", BOXES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_one_shot_solves(self, seed, lower, upper):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        a = rng.uniform(0.1, 3.0, size=n)
+        c = rng.choice([-1.0, 0.0, 0.5, 1.0], size=n)
+        # Feasible r: c @ x for some x in the box (0 where a side is open).
+        x0 = np.clip(rng.normal(size=n), lower, upper)
+        r = float(c @ x0) if seed % 2 else 0.0
+        prepared = QuadraticKnapsack(a, c, r, lower, upper)
+        for _ in range(5):
+            d = rng.normal(scale=3.0, size=n)
+            got = prepared.solve(d)
+            want = solve_quadratic_knapsack(a, d, c, r, lower, upper)
+            assert np.array_equal(got.x, want.x)
+            assert got.nu == want.nu
+            assert got.iterations == want.iterations
+            assert got.constraint_residual == want.constraint_residual
+
+    def test_all_zero_c_solves_the_box_alone(self, rng):
+        a, d = rng.uniform(0.5, 2.0, size=6), rng.normal(size=6)
+        result = QuadraticKnapsack(a, np.zeros(6), 0.0, -1.0, 1.0).solve(d)
+        np.testing.assert_array_equal(result.x, np.clip(-d / a, -1.0, 1.0))
+
+    def test_infeasible_r_raises_at_preparation(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            QuadraticKnapsack(np.ones(3), np.array([1.0, 0.0, 1.0]), 2.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            QuadraticKnapsack(np.ones(2), np.zeros(2), 1.0, -np.inf, np.inf)
+
+    def test_checks_run_once_and_d_is_checked_per_solve(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            QuadraticKnapsack(np.array([1.0, -1.0]), np.ones(2))
+        with pytest.raises(ValueError, match="lower bound exceeds"):
+            QuadraticKnapsack(np.ones(2), np.ones(2), 0.0, 1.0, 0.0)
+        prepared = QuadraticKnapsack(np.ones(2), np.array([1.0, -1.0]), 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            prepared.solve(np.zeros(3))
 
 
 class TestQuadraticKnapsack:

@@ -3,16 +3,15 @@
 ``docs/OBSERVABILITY.md`` is the registry of record for every counter
 name the code emits (see PR 1); this checker — the successor of the
 standalone ``tools/check_observability_docs.py`` lint — extracts every
-``.increment(`` / ``.increment_many(`` / ``.counter(`` call-site name
-(f-string placeholders normalize to ``<name>``) and reports any name
-the document does not mention, as a structured finding at the emitting
-line.  Folding it into the framework means one driver (``repro lint``)
-runs the whole static suite.
+``.increment(`` / ``.counter(`` call-site name (f-string placeholders
+normalize to ``<name>``) and reports any name the document does not
+mention, as a structured finding at the emitting line.  Folding it into
+the framework means one driver (``repro lint``) runs the whole static
+suite.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 from typing import Iterator
 
@@ -22,8 +21,7 @@ from repro.analysis.source import ModuleSource
 
 __all__ = ["CounterDocsChecker", "extract_counter_names"]
 
-_METHODS = frozenset({"increment", "increment_many", "counter"})
-_CALL = re.compile(r"\.(?:%s)\(" % "|".join(sorted(_METHODS)))
+_CALL = re.compile(r"\.(?:increment|counter)\(")
 _LITERAL = re.compile(r"""(f?)(["'])([A-Za-z0-9_.{}-]+)\2""")
 
 #: Repo-relative path of the registry of record.
@@ -33,34 +31,20 @@ DOC_RELPATH = "docs/OBSERVABILITY.md"
 def extract_counter_names(module: ModuleSource) -> dict[str, int]:
     """Counter names emitted by ``module``, mapped to their first line.
 
-    Names are read off every line with an ``increment``,
-    ``increment_many`` or ``counter`` call, comments included; a call
-    spread over lines (a batched ``increment_many``) is read through the
-    line that closes it.  F-string placeholders are normalized
-    (``f"network.bytes.{kind}"`` matches the documented
-    ``network.bytes.<kind>``); only dotted literals count — plain words
-    near an ``increment(`` call are not counter names.
+    F-string placeholders are normalized (``f"network.bytes.{kind}"``
+    matches the documented ``network.bytes.<kind>``); only dotted
+    literals count — plain words near an ``increment(`` call are not
+    counter names.
     """
-    lines = module.lines
-    # First line of each call -> its last line.
-    spans = {lineno: lineno for lineno, line in enumerate(lines, start=1) if _CALL.search(line)}
-    if module.tree is not None:
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _METHODS
-                and node.end_lineno is not None
-            ):
-                spans[node.lineno] = max(spans.get(node.lineno, 0), node.end_lineno)
     names: dict[str, int] = {}
-    for first in sorted(spans):
-        text = "\n".join(lines[first - 1 : spans[first]])
-        for _, _, literal in _LITERAL.findall(text):
-            if "." not in literal:
+    for lineno, line in enumerate(module.lines, start=1):
+        if not _CALL.search(line):
+            continue
+        for _, _, text in _LITERAL.findall(line):
+            if "." not in text:
                 continue
-            name = re.sub(r"\{([^}]*)\}", r"<\1>", literal)
-            names.setdefault(name, first)
+            name = re.sub(r"\{([^}]*)\}", r"<\1>", text)
+            names.setdefault(name, lineno)
     return names
 
 

@@ -21,9 +21,8 @@ Example
 192.0
 >>> registry.with_prefix("network.")
 {'network.bytes.mask': 192.0}
->>> registry.increment_many(("network.messages", 1), ("network.bytes.mask", 8))
 >>> sorted(registry.items())
-[('network.bytes.mask', 200), ('network.messages', 1)]
+[('network.bytes.mask', 192)]
 """
 
 from __future__ import annotations
@@ -80,30 +79,16 @@ class MetricRegistry:
             raise ValueError(f"counters are monotonic; got negative amount {amount}")
         counters[name] = counters.get(name, 0) + amount
 
-    def increment_many(self, *pairs: tuple[str, float]) -> None:
-        """Add each ``(name, amount)`` pair, as :meth:`increment` would,
-        in one call.
-
-        For call sites that book several counters per operation (each
-        ``Network.send`` books five).  Pairs are checked and booked in
-        order, so a malformed name or a negative amount raises with the
-        pairs before it already booked.
-        """
-        counters = self._counters
-        for name, amount in pairs:
-            if type(name) is not str or name not in counters:
-                self._validate_name(name)
-            if amount < 0:
-                raise ValueError(f"counters are monotonic; got negative amount {amount}")
-            counters[name] = counters.get(name, 0) + amount
-
     def items(self) -> ItemsView[str, float]:
         """Live ``(name, value)`` view of every counter, without a copy.
 
-        Values keep the type they were incremented with (an ``int`` for
-        whole-number increments); :meth:`get` and :meth:`as_dict` return
-        floats.  The view follows later increments, so copy it before
-        holding on to it.
+        The read path of :class:`~repro.cluster.tracing.TraceRecorder`,
+        which diffs the registry at every iteration boundary and would
+        otherwise copy it twice per round.  Unlike :meth:`get` and
+        :meth:`as_dict`, which return floats, values keep the type they
+        were incremented with (an ``int`` for whole-number increments).
+        The view follows later increments, so copy it before holding on
+        to it.
         """
         return self._counters.items()
 

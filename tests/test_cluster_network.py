@@ -45,29 +45,6 @@ class TestMetricRegistry:
         m.reset()
         assert m.get("a") == 0.0
 
-    def test_increment_many_equals_one_increment_per_pair(self):
-        batched, single = MetricRegistry(), MetricRegistry()
-        pairs = [("net.bytes", 10), ("net.msgs", 1), ("net.bytes", 2.5), ("t.s", 1e-6)]
-        batched.increment_many(*pairs)
-        for name, amount in pairs:
-            single.increment(name, amount)
-        assert batched.as_dict() == single.as_dict() == {
-            "net.bytes": 12.5, "net.msgs": 1.0, "t.s": 1e-6,
-        }
-
-    @pytest.mark.parametrize(
-        "pair, error",
-        [(("bad name", 1), ValueError), (("a..b", 1), ValueError),
-         ((3, 1), TypeError), (("ok.name", -1), ValueError)],
-    )
-    def test_increment_many_checks_every_pair(self, pair, error):
-        m = MetricRegistry()
-        m.increment("ok.name", 1)
-        with pytest.raises(error):
-            m.increment_many(("ok.name", 1), pair)
-        assert m.get("ok.name") == 2.0  # the pair before it is booked
-        assert set(m.as_dict()) == {"ok.name"}
-
     def test_items_is_a_live_view(self):
         m = MetricRegistry()
         m.increment("a.b", 2)

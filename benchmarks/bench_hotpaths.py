@@ -16,9 +16,16 @@ bits in the same run: the native one-word kernels must keep beating the
 multi-limb carry path.  It also fails if a Shamir threshold round is
 more than ``THRESHOLD_MAX_RATIO`` times slower than a fresh 64-bit
 round of the same size in the same run, so the dropout-robust sum stays
-on the vectorized residue planes.  The CI ``perf-smoke`` job runs
-exactly that, so a change that silently loses either speedup fails the
-build.
+on the vectorized residue planes, and if a fresh round fed to a
+``ProtocolAuditLog`` is more than ``AUDIT_MAX_RATIO`` times the same
+round without one, so the runtime audit stays a small share of a round.
+The CI ``perf-smoke`` job runs exactly that, so a change that silently
+loses any of these fails the build.
+
+Each record's ``wall_s`` is the best of its repeats (the median, for the
+``inprocess.*`` rows); ``wall_s_p50``, ``wall_s_q1`` and ``wall_s_q3``
+are the median and quartiles of the same repeats, so a row's spread
+within one run is on file beside its headline figure.
 
 The secure-sum and codec rows run at two ring widths: 64 bits, the
 one-word ring the trainer uses at its defaults
@@ -43,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.network import Network
+from repro.cluster.tracing import TraceRecorder
 from repro.core import (
     HorizontalKernelSVM,
     HorizontalLinearSVM,
@@ -58,6 +66,7 @@ from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
 from repro.crypto.threshold_sum import ThresholdSummationProtocol
 from repro.data import StandardScaler, train_test_split
 from repro.data.synthetic import make_linear_task, make_ocr_like
+from repro.obs.audit import ProtocolAuditLog
 from repro.svm.knapsack import QuadraticKnapsack, solve_quadratic_knapsack
 from repro.svm.qp import solve_box_qp
 
@@ -68,27 +77,51 @@ RING_BITS = (64, 128)
 #: Largest threshold-round time, as a multiple of a fresh 64-bit round
 #: of the same size, that ``--check`` accepts.
 THRESHOLD_MAX_RATIO = 25.0
+#: Largest audited fresh round, as a multiple of the same round without
+#: an audit log in the same run, that ``--check`` accepts.
+AUDIT_MAX_RATIO = 1.2
 
 
-def _timeit(fn, *, repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds for one call of ``fn``."""
-    best = float("inf")
+def _timeit(fn, *, repeats: int) -> list[float]:
+    """Wall seconds of each of ``repeats`` calls of ``fn``."""
+    samples = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        samples.append(time.perf_counter() - start)
+    return samples
 
 
-def _record(results: list[dict], op: str, params: dict, wall_s: float, per_iter_bytes: float = 0.0):
+def _record(
+    results: list[dict],
+    op: str,
+    params: dict,
+    samples: list[float],
+    per_iter_bytes: float = 0.0,
+    *,
+    headline=min,
+):
+    """Append one record: ``wall_s`` is ``headline(samples)``, beside the
+    median and quartiles of ``samples``."""
+    if len(samples) > 1:
+        q1, p50, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    else:
+        q1 = p50 = q3 = samples[0]
+    wall_s = headline(samples)
     entry = {
         "op": op,
         "params": params,
         "wall_s": wall_s,
+        "wall_s_p50": p50,
+        "wall_s_q1": q1,
+        "wall_s_q3": q3,
         "per_iter_bytes": per_iter_bytes,
     }
     results.append(entry)
-    print(f"  {op:<28} {json.dumps(params):<60} {wall_s * 1e3:9.3f} ms")
+    print(
+        f"  {op:<28} {json.dumps(params):<60} {wall_s * 1e3:9.3f} ms"
+        f"  (p50 {p50 * 1e3:.3f}, q1-q3 {q1 * 1e3:.3f}-{q3 * 1e3:.3f})"
+    )
     return entry
 
 
@@ -187,6 +220,57 @@ def bench_threshold_sum(results: list[dict], *, smoke: bool) -> list[tuple[dict,
     return pairs
 
 
+def bench_audited_round(results: list[dict], *, smoke: bool) -> tuple[dict, dict]:
+    """A fresh M = 8 round of 600-vectors on the trainer's one-word ring,
+    fed to a ``ProtocolAuditLog`` as a secure fit feeds it, and the same
+    round without one.  The two are timed alternately.
+
+    Returns the (audited, unaudited) records for the --check gate.
+    """
+    print("audited secure-sum round:")
+    n_participants, dim = 8, 600
+    participants = [f"m{i}" for i in range(n_participants)]
+    rng = np.random.default_rng(12)
+    values = {p: rng.normal(size=dim) for p in participants}
+    protocols = []
+    for audited in (True, False):
+        network = Network(keep_log=False)
+        audit = ProtocolAuditLog(metrics=network.metrics, tracer=network.tracer) if audited else None
+        protocol = SecureSummationProtocol(
+            network,
+            participants,
+            "reducer",
+            codec=FixedPointCodec(modulus_bits=ring_bits(40, n_participants), max_terms=n_participants),
+            seed=0,
+            audit=audit,
+        )
+        protocol.sum_vectors(values)
+        protocols.append(protocol)
+    samples: list[list[float]] = [[], []]
+    for _ in range(30 if smoke else 60):
+        for protocol, timed in zip(protocols, samples):
+            timed.extend(_timeit(lambda: protocol.sum_vectors(values), repeats=1))
+    params = {"mode": "fresh", "participants": n_participants, "dim": dim}
+    audited = _record(results, "secure_sum.audited_round", params, samples[0])
+    unaudited = _record(results, "secure_sum.unaudited_round", params, samples[1])
+    return audited, unaudited
+
+
+def bench_span(results: list[dict], *, smoke: bool) -> None:
+    """One span opened and closed on an enabled ``TraceRecorder``."""
+    print("trace span:")
+    batch = 200 if smoke else 2000
+
+    def span_batch():
+        span = TraceRecorder().span
+        for _ in range(batch):
+            with span("crypto.mask_exchange", kind="crypto"):
+                pass
+
+    wall = [t / batch for t in _timeit(span_batch, repeats=3 if smoke else 7)]
+    _record(results, "tracing.span_open_close", {}, wall)
+
+
 def bench_codec_kernels(results: list[dict], *, smoke: bool) -> None:
     print("codec kernels:")
     dim = 1024 if smoke else 8192
@@ -242,7 +326,7 @@ def bench_sum_arrays(results: list[dict], *, smoke: bool) -> None:
             for _ in range(batch):
                 codec.sum_arrays(plus, minus)
 
-        wall = _timeit(net_batch, repeats=3 if smoke else 7) / batch
+        wall = [t / batch for t in _timeit(net_batch, repeats=3 if smoke else 7)]
         params = {"plus": 8, "minus": 7, "words": 600, "modulus_bits": bits}
         _record(results, "codec.sum_arrays", params, wall)
 
@@ -308,7 +392,7 @@ def bench_network_send(results: list[dict], *, smoke: bool) -> None:
             network.send("a", "b", mask, kind="mask")
             network.receive_message("b", kind="mask")
 
-    wall = _timeit(send_batch, repeats=3 if smoke else 7) / batch
+    wall = [t / batch for t in _timeit(send_batch, repeats=3 if smoke else 7)]
     size = network.bytes_sent("mask") / network.messages_sent("mask")
     _record(results, "network.send_receive", {"words": 600, "modulus_bits": 64}, wall, size)
 
@@ -330,7 +414,7 @@ def bench_network_broadcast(results: list[dict], *, smoke: bool) -> None:
             for node in nodes:
                 network.receive_message(node, kind="broadcast")
 
-    wall = _timeit(broadcast_batch, repeats=3 if smoke else 7) / batch
+    wall = [t / batch for t in _timeit(broadcast_batch, repeats=3 if smoke else 7)]
     size = network.bytes_sent("broadcast") / network.messages_sent("broadcast")
     _record(results, "network.broadcast", {"nodes": 8, "words": 600}, wall, size * len(nodes))
 
@@ -360,7 +444,9 @@ def bench_inprocess_fits(results: list[dict], *, smoke: bool) -> None:
             model.fit(data)
             walls.append(time.perf_counter() - start)
             cpus.append(time.process_time() - start_cpu)
-        entry = _record(results, f"inprocess.{trainer.__name__}", params, statistics.median(walls))
+        entry = _record(
+            results, f"inprocess.{trainer.__name__}", params, walls, headline=statistics.median
+        )
         entry["cpu_s"] = statistics.median(cpus)
 
 
@@ -419,12 +505,15 @@ def bench_end_to_end(
 
 
 def check_regressions(
-    pairs: list[tuple[dict, dict]], threshold_pairs: list[tuple[dict, dict]]
+    pairs: list[tuple[dict, dict]],
+    threshold_pairs: list[tuple[dict, dict]],
+    audit_pair: tuple[dict, dict],
 ) -> list[str]:
     """A one-word (64-bit) secure-sum round must never be slower than
-    the same configuration on the two-limb (128-bit) ring, and a
-    threshold round no more than ``THRESHOLD_MAX_RATIO`` times slower
-    than a fresh 64-bit round of the same size."""
+    the same configuration on the two-limb (128-bit) ring, a threshold
+    round no more than ``THRESHOLD_MAX_RATIO`` times slower than a fresh
+    64-bit round of the same size, and an audited fresh round no more
+    than ``AUDIT_MAX_RATIO`` times the same round without an audit."""
     failures = []
     for one_word, two_limb in pairs:
         if one_word["wall_s"] > two_limb["wall_s"]:
@@ -445,6 +534,15 @@ def check_regressions(
             )
         else:
             print(f"  ok: {json.dumps(threshold['params'])} {ratio:.1f}x a fresh 64-bit round")
+    audited, unaudited = audit_pair
+    ratio = audited["wall_s"] / max(unaudited["wall_s"], 1e-12)
+    if ratio > AUDIT_MAX_RATIO:
+        failures.append(
+            f"audited round {audited['params']}: {audited['wall_s']:.4f}s is {ratio:.3f}x "
+            f"the unaudited round ({unaudited['wall_s']:.4f}s), over {AUDIT_MAX_RATIO:g}x"
+        )
+    else:
+        print(f"  ok: {json.dumps(audited['params'])} audited {ratio:.3f}x unaudited")
     return failures
 
 
@@ -457,7 +555,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="exit 1 if a 64-bit secure-sum round is slower than the same round at "
-        f"128 bits, or a threshold round over {THRESHOLD_MAX_RATIO:g}x a fresh 64-bit round",
+        f"128 bits, a threshold round over {THRESHOLD_MAX_RATIO:g}x a fresh 64-bit round, "
+        f"or an audited fresh round over {AUDIT_MAX_RATIO:g}x an unaudited one",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="output JSON path"
@@ -477,6 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     results: list[dict] = []
     pairs = bench_secure_sum(results, smoke=args.smoke)
     threshold_pairs = bench_threshold_sum(results, smoke=args.smoke)
+    audit_pair = bench_audited_round(results, smoke=args.smoke)
+    bench_span(results, smoke=args.smoke)
     bench_codec_kernels(results, smoke=args.smoke)
     bench_sum_arrays(results, smoke=args.smoke)
     bench_box_qp(results, smoke=args.smoke)
@@ -490,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {len(results)} records to {args.out}")
 
     if args.check:
-        failures = check_regressions(pairs, threshold_pairs)
+        failures = check_regressions(pairs, threshold_pairs, audit_pair)
         if failures:
             for failure in failures:
                 print(f"PERF REGRESSION: {failure}", file=sys.stderr)

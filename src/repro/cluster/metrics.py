@@ -71,13 +71,17 @@ class MetricRegistry:
         monotonic).
         """
         counters = self._counters
-        # Only valid names ever become keys, so a known key skips the
-        # check; the type test keeps unhashable names out of the lookup.
-        if type(name) is not str or name not in counters:
+        # Only valid names ever become keys, so a known name is one
+        # lookup and no check; a new, non-str or unhashable name takes
+        # the check, which raises the same errors for all of them.
+        try:
+            value = counters[name]
+        except (KeyError, TypeError):
             self._validate_name(name)
+            value = 0
         if amount < 0:
             raise ValueError(f"counters are monotonic; got negative amount {amount}")
-        counters[name] = counters.get(name, 0) + amount
+        counters[name] = value + amount
 
     def items(self) -> ItemsView[str, float]:
         """Live ``(name, value)`` view of every counter, without a copy.

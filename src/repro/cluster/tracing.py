@@ -43,9 +43,8 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, ContextManager, Iterator
+from typing import Any, Callable, ContextManager
 
 from repro.cluster.metrics import MetricRegistry
 
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named interval in a trace.
 
@@ -102,7 +101,7 @@ class Span:
     attrs: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One instantaneous point in a trace (e.g. a message send).
 
@@ -174,19 +173,25 @@ class _SpanScope:
         stack = recorder._stack
         sim_clock = recorder.sim_clock
         iteration = self._iteration
+        span_id = recorder._next_id
+        # Positional, in field order: span_id, parent_id, name, kind,
+        # node, iteration, start_wall_s, duration_wall_s, start_sim_s,
+        # duration_sim_s, attrs.
         record = Span(
-            span_id=recorder._next_id,
-            parent_id=stack[-1] if stack else None,
-            name=self._name,
-            kind=self._kind,
-            node=self._node,
-            iteration=iteration if iteration is not None else recorder._iteration,
-            start_wall_s=time.perf_counter() - recorder._origin,
-            start_sim_s=sim_clock() if sim_clock is not None else None,
-            attrs=self._attrs,
+            span_id,
+            stack[-1] if stack else None,
+            self._name,
+            self._kind,
+            self._node,
+            iteration if iteration is not None else recorder._iteration,
+            time.perf_counter() - recorder._origin,
+            0.0,
+            sim_clock() if sim_clock is not None else None,
+            None,
+            self._attrs,
         )
-        recorder._next_id += 1
-        stack.append(record.span_id)
+        recorder._next_id = span_id + 1
+        stack.append(span_id)
         self._record = record
         return record
 
@@ -203,6 +208,33 @@ class _SpanScope:
             recorder.spans.append(record)
         else:
             recorder.dropped += 1
+
+
+class _IterationScope:
+    """What an enabled recorder's :meth:`TraceRecorder.iteration` returns.
+
+    Entering books the registry's change so far and sets the iteration
+    tag; leaving books the change made inside to that iteration and
+    restores the previous tag, whether or not the body raised.
+    """
+
+    __slots__ = ("_recorder", "_index", "_previous")
+
+    def __init__(self, recorder: "TraceRecorder", index: int) -> None:
+        self._recorder = recorder
+        self._index = index
+        self._previous: int | None = None
+
+    def __enter__(self) -> None:
+        recorder = self._recorder
+        recorder._book()
+        self._previous = recorder._iteration
+        recorder._iteration = self._index
+
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
+        recorder = self._recorder
+        recorder._book()
+        recorder._iteration = self._previous
 
 
 class TraceRecorder:
@@ -270,18 +302,7 @@ class TraceRecorder:
         recorder does neither."""
         if not self.enabled:
             return _NULL_SPAN
-        return self._iteration_scope(index)
-
-    @contextmanager
-    def _iteration_scope(self, index: int) -> Iterator[None]:
-        self._book()
-        previous = self._iteration
-        self._iteration = int(index)
-        try:
-            yield
-        finally:
-            self._book()
-            self._iteration = previous
+        return _IterationScope(self, int(index))
 
     def _book(self) -> None:
         """Book the registry's change since the last boundary to the
@@ -333,13 +354,13 @@ class TraceRecorder:
         self._stored += 1
         self.events.append(
             TraceEvent(
-                name=name,
-                kind=kind,
-                node=node,
-                iteration=iteration if iteration is not None else self._iteration,
-                wall_s=time.perf_counter() - self._origin,
-                sim_s=self.sim_clock() if self.sim_clock is not None else None,
-                attrs=attrs,
+                name,
+                kind,
+                node,
+                iteration if iteration is not None else self._iteration,
+                time.perf_counter() - self._origin,
+                self.sim_clock() if self.sim_clock is not None else None,
+                attrs,
             )
         )
 

@@ -110,6 +110,8 @@ class PrivacyPreservingSVM(Classifier):
         Explicit :class:`~repro.cluster.twister.Aggregator` instance
         overriding ``secure``/``mask_mode`` — e.g. the dropout-robust
         :class:`~repro.crypto.threshold_sum.ThresholdSumAggregator`.
+        An override whose ``audit`` or ``codec`` is ``None`` gets the
+        run's audit log or codec.
     fractional_bits:
         Fixed-point precision of the secure aggregation.  The secure-sum
         ring is the smallest whole number of 64-bit words that keeps a
@@ -318,21 +320,27 @@ class PrivacyPreservingSVM(Classifier):
 
     def _make_aggregator(self, audit: ProtocolAuditLog | None = None) -> Aggregator:
         if self.aggregator_override is not None:
-            # Wire the run's audit log into a caller-supplied aggregator
-            # that supports it but has none of its own.
+            # Wire the run's audit log and codec into a caller-supplied
+            # aggregator that supports them but has none of its own.
             if getattr(self.aggregator_override, "audit", False) is None:
                 self.aggregator_override.audit = audit
+            if getattr(self.aggregator_override, "codec", False) is None:
+                self.aggregator_override.codec = self._make_codec()
             return self.aggregator_override
         if not self.secure:
             return PlaintextAggregator()
+        return SecureSumAggregator(
+            codec=self._make_codec(), mode=self.mask_mode, seed=self.seed, audit=audit
+        )
+
+    def _make_codec(self) -> FixedPointCodec:
+        """The run's codec: ``fractional_bits`` on the smallest whole-word
+        ring that holds a sum over this fit's learners."""
         max_terms = max(self._n_learners, 2)
-        codec = FixedPointCodec(
+        return FixedPointCodec(
             fractional_bits=self.fractional_bits,
             modulus_bits=ring_bits(self.fractional_bits, max_terms),
             max_terms=max_terms,
-        )
-        return SecureSumAggregator(
-            codec=codec, mode=self.mask_mode, seed=self.seed, audit=audit
         )
 
     # -- prediction --------------------------------------------------------

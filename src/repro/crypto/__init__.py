@@ -21,13 +21,18 @@ from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair, PaillierPublicKey
 from repro.crypto.secret_sharing import shamir_reconstruct, shamir_share
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
-from repro.crypto.threshold_sum import ThresholdSumAggregator, ThresholdSummationProtocol
+from repro.crypto.threshold_sum import (
+    RingWidthError,
+    ThresholdSumAggregator,
+    ThresholdSummationProtocol,
+)
 
 __all__ = [
     "FixedPointCodec",
     "PaillierCiphertext",
     "PaillierKeyPair",
     "PaillierPublicKey",
+    "RingWidthError",
     "SecureSumAggregator",
     "SecureSummationProtocol",
     "ThresholdSumAggregator",

@@ -115,6 +115,10 @@ class SecureSummationProtocol:
             network.register(node)
 
         self._rngs = dict(zip(self.participants, spawn_rngs(as_rng(seed), len(self.participants))))
+        # Each participant's mask targets, in participant order.
+        self._others = {
+            p: tuple(q for q in self.participants if q != p) for p in self.participants
+        }
         self._pair_rngs: dict[tuple[str, str], np.random.Generator] = {}
         if mode == "prg":
             self._exchange_pairwise_seeds()
@@ -219,29 +223,32 @@ class SecureSummationProtocol:
         if self.mode == "fresh":
             # Steps 1-3: generate and exchange the pairwise masks;
             # each joins its generator's Sed and its receiver's Rev.
+            # The audit is fed once per participant: each sender's
+            # targets, then each receiver's netted sources.
             n_others = len(participants) - 1
             with tracer.span("crypto.mask_exchange", kind="crypto"):
                 for sender in participants:
                     sender_rng = self._rngs[sender]
                     sed = added[sender]
-                    for receiver in participants:
-                        if receiver == sender:
-                            continue
+                    targets = self._others[sender]
+                    for receiver in targets:
                         mask = random_vector_array(n, sender_rng)
                         send(sender, receiver, mask, kind="mask")
                         sed.append(mask)
-                        if audit is not None:
-                            audit.mask_applied(sender, receiver)
+                    if audit is not None:
+                        audit.mask_applied(sender, targets)
                     metrics.increment("crypto.masks_generated", n_others)
                 for receiver in participants:
                     rev = removed[receiver]
+                    sources: list[str] = []
                     for _ in range(n_others):
                         mask_message = receive_message(receiver, kind="mask")
                         if self._audit_fault == (mask_message.src, receiver):
                             continue  # injected fault: mask never netted
                         rev.append(mask_message.payload)
-                        if audit is not None:
-                            audit.mask_removed(receiver, mask_message.src)
+                        sources.append(mask_message.src)
+                    if audit is not None:
+                        audit.mask_removed(receiver, sources)
         else:
             # PRG mode: pads come from the shared pairwise streams; the
             # lower-indexed partner adds, the higher-indexed one

@@ -21,9 +21,11 @@ measured (see the fault-injection tests):
    remainder theorem.
 
 Shares travel as ``uint32`` planes of shape ``(n, 3)``.  The codec is
-the trainer's one-word ``FixedPointCodec(40, 64, max_terms=M)``, so a
-value's magnitude bound is ``2^23 / M``, as on the fresh path, and the
-sum of all M inputs stays below 2^63, where the lift is exact.
+the trainer's, which must be a one-word (64-bit) ring
+(:class:`RingWidthError` otherwise); by default it is
+``FixedPointCodec(40, 64, max_terms=M)``, so a value's magnitude bound
+is ``2^23 / M``, as on the fresh path.  A codec whose ``max_terms``
+covers the M inputs keeps their sum below 2^63, where the lift is exact.
 
 Privacy: any coalition of fewer than ``t`` Mappers (plus the Reducer,
 who only ever sees shares of the *sum*) learns nothing about an
@@ -47,7 +49,16 @@ from repro.crypto.secret_sharing import (
 from repro.obs.audit import ProtocolAuditLog
 from repro.utils.rng import as_rng, spawn_rngs
 
-__all__ = ["ThresholdSumAggregator", "ThresholdSummationProtocol"]
+__all__ = ["RingWidthError", "ThresholdSumAggregator", "ThresholdSummationProtocol"]
+
+#: The one ring the residue planes lift back to: a 64-bit word.
+_RING_BITS = 64
+
+
+class RingWidthError(ValueError):
+    """The threshold sum was given a codec whose ring is not one 64-bit
+    word (``fixed_point.ring_bits`` gives more than one word above 128
+    learners at 40 fractional bits)."""
 
 
 class ThresholdSummationProtocol:
@@ -63,6 +74,10 @@ class ThresholdSummationProtocol:
         The Reducer node id.
     threshold:
         Minimum number of surviving Mappers needed to reconstruct.
+    codec:
+        Fixed-point codec on a 64-bit ring; defaults to
+        ``FixedPointCodec(40, 64, max_terms=M)``.  Any other ring width
+        raises :class:`RingWidthError`.
     audit:
         Optional :class:`~repro.obs.audit.ProtocolAuditLog`; when given,
         each round's share distribution and reconstruction are recorded
@@ -76,6 +91,7 @@ class ThresholdSummationProtocol:
         reducer_id: str,
         *,
         threshold: int | None = None,
+        codec: FixedPointCodec | None = None,
         seed: int | np.random.Generator | None = None,
         audit: ProtocolAuditLog | None = None,
     ) -> None:
@@ -92,7 +108,14 @@ class ThresholdSummationProtocol:
         self.network = network
         self.participants = list(participant_ids)
         self.reducer_id = reducer_id
-        self.codec = FixedPointCodec(40, 64, max_terms=n)
+        self.codec = (
+            codec if codec is not None else FixedPointCodec(40, _RING_BITS, max_terms=n)
+        )
+        if self.codec.modulus_bits != _RING_BITS:
+            raise RingWidthError(
+                f"the threshold sum runs on a {_RING_BITS}-bit ring; the codec's "
+                f"ring is {self.codec.modulus_bits} bits"
+            )
         self.audit = audit
         for node in [*self.participants, reducer_id]:
             network.register(node)
@@ -236,18 +259,22 @@ class ThresholdSumAggregator:
     t-of-M robustness profile: pass ``dropout_schedule`` (iteration
     index -> set of crashing mapper ids) to fault-injection experiments;
     the consensus still forms as long as >= ``threshold`` mappers
-    survive each round.
+    survive each round.  ``codec`` (``None`` for the protocol's default)
+    must be on a 64-bit ring; ``PrivacyPreservingSVM`` supplies its own
+    when it is ``None``.
     """
 
     def __init__(
         self,
         *,
         threshold: int | None = None,
+        codec: FixedPointCodec | None = None,
         seed: int | np.random.Generator | None = None,
         dropout_schedule: dict[int, set[str]] | None = None,
         audit: ProtocolAuditLog | None = None,
     ) -> None:
         self.threshold = threshold
+        self.codec = codec
         self.seed = as_rng(seed)
         self.dropout_schedule = dropout_schedule or {}
         self.audit = audit
@@ -268,6 +295,7 @@ class ThresholdSumAggregator:
                 participants,
                 reducer_id,
                 threshold=self.threshold,
+                codec=self.codec,
                 seed=self.seed,
                 audit=self.audit,
             )

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from functools import lru_cache
+from typing import Any, Iterable
 
 __all__ = [
     "AuditViolation",
@@ -47,6 +48,26 @@ __all__ = [
 
 
 _NO_OPEN_ROUND = "no audit round is open; call begin_round first"
+
+
+@lru_cache(maxsize=16)
+def _complete_exchange(participants: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """Each participant's peers, in participant order: one round's feed
+    when every participant masks toward and nets from all the others."""
+    return {p: tuple(q for q in participants if q != p) for p in participants}
+
+
+def _pair(a: str, b: str) -> tuple[str, str]:
+    """The unordered pair ``{a, b}`` as a sorted tuple."""
+    return (a, b) if a <= b else (b, a)
+
+
+@lru_cache(maxsize=16)
+def _all_pairs(participants: tuple[str, ...]) -> frozenset[tuple[str, str]]:
+    """Every unordered pair of participants, as sorted tuples."""
+    return frozenset(
+        _pair(a, b) for i, a in enumerate(participants) for b in participants[i + 1 :]
+    )
 
 
 class ProtocolAuditError(RuntimeError):
@@ -80,21 +101,55 @@ class AuditViolation:
 
 @dataclass
 class RoundAudit:
-    """Raw observations and verdict for one aggregation round."""
+    """Raw observations and verdict for one aggregation round.
+
+    The feeds are kept as plain lists, in feed order: ``applied`` holds
+    one ``(generator, targets)`` entry per ``mask_applied`` call and
+    ``removed`` one ``(receiver, sources)`` entry per ``mask_removed``
+    call, ``pads`` one sorted node pair per derived pad, ``sent`` and
+    ``received`` one node id per share.  The ``Counter`` views
+    (:attr:`masks_applied` and the rest), one count per mask, pad or
+    share, are built from them when read.
+    """
 
     round_index: int
     protocol: str
     participants: tuple[str, ...]
     threshold: int | None = None
     expected_senders: tuple[str, ...] | None = None
-    masks_applied: Counter[tuple[str, str]] = field(default_factory=Counter)
-    masks_removed: Counter[tuple[str, str]] = field(default_factory=Counter)
-    pads_derived: Counter[tuple[str, str]] = field(default_factory=Counter)
-    shares_sent: Counter[str] = field(default_factory=Counter)
-    shares_received: Counter[str] = field(default_factory=Counter)
+    applied: list[tuple[str, tuple[str, ...]]] = field(default_factory=list, repr=False)
+    removed: list[tuple[str, tuple[str, ...]]] = field(default_factory=list, repr=False)
+    pads: list[tuple[str, str]] = field(default_factory=list, repr=False)
+    sent: list[str] = field(default_factory=list, repr=False)
+    received: list[str] = field(default_factory=list, repr=False)
     reconstruction_shares: int | None = None
     reconstruction_ok: bool | None = None
     violations: list[AuditViolation] = field(default_factory=list)
+
+    @property
+    def masks_applied(self) -> Counter[tuple[str, str]]:
+        """Masks added, counted by ``(generator, target)``."""
+        return Counter((node, peer) for node, peers in self.applied for peer in peers)
+
+    @property
+    def masks_removed(self) -> Counter[tuple[str, str]]:
+        """Masks netted off, counted by ``(receiver, src)``."""
+        return Counter((node, peer) for node, peers in self.removed for peer in peers)
+
+    @property
+    def pads_derived(self) -> Counter[tuple[str, str]]:
+        """PRG pads derived, counted by sorted node pair."""
+        return Counter(self.pads)
+
+    @property
+    def shares_sent(self) -> Counter[str]:
+        """Shares sent to the reducer, counted by sender."""
+        return Counter(self.sent)
+
+    @property
+    def shares_received(self) -> Counter[str]:
+        """Shares the reducer consumed, counted by originating node."""
+        return Counter(self.received)
 
     @property
     def ok(self) -> bool:
@@ -107,11 +162,11 @@ class RoundAudit:
             "round": self.round_index,
             "protocol": self.protocol,
             "n_participants": len(self.participants),
-            "masks_applied": int(sum(self.masks_applied.values())),
-            "masks_removed": int(sum(self.masks_removed.values())),
-            "pads_derived": int(sum(self.pads_derived.values())),
-            "shares_sent": int(sum(self.shares_sent.values())),
-            "shares_received": int(sum(self.shares_received.values())),
+            "masks_applied": sum(len(peers) for _, peers in self.applied),
+            "masks_removed": sum(len(peers) for _, peers in self.removed),
+            "pads_derived": len(self.pads),
+            "shares_sent": len(self.sent),
+            "shares_received": len(self.received),
             "reconstruction_shares": self.reconstruction_shares,
             "ok": self.ok,
             "violations": [
@@ -157,16 +212,12 @@ class ProtocolAuditLog:
         self.rounds: list[RoundAudit] = []
         self._current: RoundAudit | None = None
         self._agreed_seeds: set[tuple[str, str]] = set()
-        # The open round's mask pairs, in feed order; ``end_round``
-        # counts them into the round's Counters before checking.
-        self._masks_applied: list[tuple[str, str]] = []
-        self._masks_removed: list[tuple[str, str]] = []
 
     # -- protocol feed --------------------------------------------------
 
     def seed_agreed(self, a: str, b: str) -> None:
         """Record one-time pairwise seed agreement (``"prg"`` setup)."""
-        self._agreed_seeds.add(self._pair(a, b))
+        self._agreed_seeds.add(_pair(a, b))
 
     def begin_round(
         self,
@@ -189,29 +240,39 @@ class ProtocolAuditLog:
             ),
         )
 
-    def mask_applied(self, generator: str, target: str) -> None:
-        """``generator`` added a mask destined for ``target`` to its share."""
-        if self._current is None:
-            raise RuntimeError(_NO_OPEN_ROUND)
-        self._masks_applied.append((generator, target))
+    def mask_applied(self, generator: str, targets: Iterable[str]) -> None:
+        """``generator`` added one mask for each of ``targets`` to its share.
 
-    def mask_removed(self, receiver: str, src: str) -> None:
-        """``receiver`` netted off a mask it received from ``src``."""
-        if self._current is None:
-            raise RuntimeError(_NO_OPEN_ROUND)
-        self._masks_removed.append((receiver, src))
+        One call per generator and round; ``targets`` is any iterable of
+        node ids, not a bare ``str``.
+        """
+        record = self._round()
+        if isinstance(targets, str):
+            raise TypeError("targets must be an iterable of node ids, not a str")
+        record.applied.append((generator, tuple(targets)))
+
+    def mask_removed(self, receiver: str, sources: Iterable[str]) -> None:
+        """``receiver`` netted off one mask from each of ``sources``.
+
+        One call per receiver and round; ``sources`` is any iterable of
+        node ids, not a bare ``str``.
+        """
+        record = self._round()
+        if isinstance(sources, str):
+            raise TypeError("sources must be an iterable of node ids, not a str")
+        record.removed.append((receiver, tuple(sources)))
 
     def pad_derived(self, a: str, b: str) -> None:
         """A pairwise PRG pad was derived (+ for one partner, − for the other)."""
-        self._round().pads_derived[self._pair(a, b)] += 1
+        self._round().pads.append(_pair(a, b))
 
     def share_sent(self, sender: str) -> None:
         """``sender`` sent its (masked/aggregated) share to the reducer."""
-        self._round().shares_sent[sender] += 1
+        self._round().sent.append(sender)
 
     def share_received(self, src: str) -> None:
         """The reducer consumed the share originating from ``src``."""
-        self._round().shares_received[src] += 1
+        self._round().received.append(src)
 
     def reconstruction(self, n_shares: int, ok: bool) -> None:
         """Threshold reconstruction finished from ``n_shares`` shares."""
@@ -226,8 +287,6 @@ class ProtocolAuditLog:
         next ``begin_round`` starts clean.
         """
         self._current = None
-        self._masks_applied.clear()
-        self._masks_removed.clear()
 
     # -- invariant checks -----------------------------------------------
 
@@ -235,10 +294,6 @@ class ProtocolAuditLog:
         """Close the round, check every invariant, and emit audit events."""
         record = self._round()
         self._current = None
-        record.masks_applied.update(self._masks_applied)
-        record.masks_removed.update(self._masks_removed)
-        self._masks_applied.clear()
-        self._masks_removed.clear()
         self._check_participant_floor(record)
         self._check_mask_balance(record)
         self._check_pair_seeds(record)
@@ -289,17 +344,26 @@ class ProtocolAuditLog:
         # Every mask a generator added toward a target must be netted off
         # by that target exactly as many times — the +/− telescoping that
         # makes the reducer's sum correct and each share uniform.  A
-        # balanced round (the usual case) is one dict comparison; the
-        # pairs are walked only to name the ones that differ.
-        applied = dict(record.masks_applied)
-        removed = {
-            (src, receiver): count for (receiver, src), count in record.masks_removed.items()
-        }
-        if applied == removed:
+        # fresh round's usual feed is the complete exchange: each node
+        # applies a mask to, and nets one from, every peer, in
+        # participant order.  That is one comparison per node; any other
+        # feed has its masks counted pair by pair, and the pairs whose
+        # counts differ are named.
+        if not record.applied and not record.removed:
             return
-        for generator, target in sorted(applied.keys() | removed.keys()):
-            n_applied = applied.get((generator, target), 0)
-            n_removed = removed.get((generator, target), 0)
+        exchange = _complete_exchange(record.participants)
+        n_nodes = len(record.participants)
+        if (
+            len(exchange) == n_nodes
+            and len(record.applied) == n_nodes == len(record.removed)
+            and dict(record.applied) == exchange == dict(record.removed)
+        ):
+            return
+        applied = record.masks_applied
+        netted = Counter((src, node) for node, sources in record.removed for src in sources)
+        for generator, target in sorted(applied.keys() | netted.keys()):
+            n_applied = applied[(generator, target)]
+            n_removed = netted[(generator, target)]
             if n_applied != n_removed:
                 self._flag(
                     record,
@@ -309,7 +373,19 @@ class ProtocolAuditLog:
                 )
 
     def _check_pair_seeds(self, record: RoundAudit) -> None:
-        for pair, count in sorted(record.pads_derived.items()):
+        if not record.pads:
+            return
+        expected = _all_pairs(record.participants)
+        # A clean round derives each expected pair's pad once, from an
+        # agreed seed, and nothing else.
+        if (
+            len(record.pads) == len(expected)
+            and expected == set(record.pads)
+            and expected <= self._agreed_seeds
+        ):
+            return
+        pads = record.pads_derived
+        for pair, count in sorted(pads.items()):
             if pair not in self._agreed_seeds:
                 self._flag(
                     record,
@@ -324,18 +400,12 @@ class ProtocolAuditLog:
                     f"pair seed {pair[0]}/{pair[1]} used {count} times this "
                     f"round (must be exactly once)",
                 )
-        if record.pads_derived:
-            expected = {
-                self._pair(a, b)
-                for i, a in enumerate(record.participants)
-                for b in record.participants[i + 1 :]
-            }
-            for pair in sorted(expected - set(record.pads_derived)):
-                self._flag(
-                    record,
-                    "pair-seed",
-                    f"no pad derived for pair {pair[0]}/{pair[1]} this round",
-                )
+        for pair in sorted(expected - pads.keys()):
+            self._flag(
+                record,
+                "pair-seed",
+                f"no pad derived for pair {pair[0]}/{pair[1]} this round",
+            )
 
     def _check_share_counts(self, record: RoundAudit) -> None:
         senders = (
@@ -343,27 +413,31 @@ class ProtocolAuditLog:
             if record.expected_senders is not None
             else record.participants
         )
+        # A clean round has one share from each expected sender, none
+        # from anyone else, and all of them consumed.
+        if len(record.received) == len(senders) and sorted(record.sent) == sorted(
+            set(senders)
+        ):
+            return
+        sent = record.shares_sent
         for sender in senders:
-            sent = record.shares_sent[sender]
-            if sent != 1:
+            if sent[sender] != 1:
                 self._flag(
                     record,
                     "share-count",
-                    f"participant {sender} sent {sent} shares (expected 1)",
+                    f"participant {sender} sent {sent[sender]} shares (expected 1)",
                 )
-        extra = set(record.shares_sent) - set(senders)
-        for sender in sorted(extra):
+        for sender in sorted(sent.keys() - set(senders)):
             self._flag(
                 record,
                 "share-count",
                 f"unexpected share from {sender}",
             )
-        received = sum(record.shares_received.values())
-        if received != len(senders):
+        if len(record.received) != len(senders):
             self._flag(
                 record,
                 "share-count",
-                f"reducer consumed {received} shares, expected {len(senders)}",
+                f"reducer consumed {len(record.received)} shares, expected {len(senders)}",
             )
 
     def _check_reconstruction(self, record: RoundAudit) -> None:
@@ -409,10 +483,6 @@ class ProtocolAuditLog:
         if self._current is None:
             raise RuntimeError(_NO_OPEN_ROUND)
         return self._current
-
-    @staticmethod
-    def _pair(a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
 
     def _flag(self, record: RoundAudit, rule: str, message: str) -> None:
         record.violations.append(

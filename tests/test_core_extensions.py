@@ -199,3 +199,28 @@ class TestThresholdAggregatorTraining:
         assert np.array_equal(
             robust.decision_function(test.X), fresh.decision_function(test.X)
         )
+
+    def test_fractional_bits_reach_the_threshold_codec(self):
+        # The trainer hands its codec to a threshold aggregator built
+        # without one, so a 20-bit threshold fit decodes the same sums
+        # as a 20-bit fresh fit and scores exactly like it.
+        train, test = train_test_split(make_ocr_like(160, seed=0), 0.5, seed=1)
+        scaler = StandardScaler().fit(train.X)
+        train, test = scaler.transform_dataset(train), scaler.transform_dataset(test)
+        parts = horizontal_partition(train, 4, seed=1)
+        config = dict(C=50.0, rho=100.0, max_iter=10, seed=1, on_health="ignore", fractional_bits=20)
+        fresh = PrivacyPreservingSVM("horizontal", **config).fit(parts)
+        aggregator = ThresholdSumAggregator(threshold=3, seed=1)
+        robust = PrivacyPreservingSVM("horizontal", aggregator=aggregator, **config).fit(parts)
+        assert aggregator.codec.fractional_bits == 20
+        assert np.array_equal(
+            robust.decision_function(test.X), fresh.decision_function(test.X)
+        )
+        default = PrivacyPreservingSVM(
+            "horizontal",
+            aggregator=ThresholdSumAggregator(threshold=3, seed=1),
+            **{**config, "fractional_bits": 40},
+        ).fit(parts)
+        assert not np.array_equal(
+            default.decision_function(test.X), fresh.decision_function(test.X)
+        )

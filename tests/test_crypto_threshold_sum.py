@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from repro.cluster.network import Network, NetworkError
-from repro.crypto.fixed_point import ResidueVector
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import (
     SHARE_PRIMES,
     planes_to_words,
     shamir_reconstruct,
 )
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
-from repro.crypto.threshold_sum import ThresholdSumAggregator, ThresholdSummationProtocol
+from repro.crypto.threshold_sum import (
+    RingWidthError,
+    ThresholdSumAggregator,
+    ThresholdSummationProtocol,
+)
 from repro.obs.audit import ProtocolAuditLog
 
 
@@ -165,6 +169,24 @@ class TestRobustnessLimits:
     def test_reducer_not_participant(self):
         with pytest.raises(ValueError, match="reducer"):
             ThresholdSummationProtocol(Network(), ["a", "r"], "r", threshold=2)
+
+    @pytest.mark.parametrize("bits", [128, 48])
+    def test_codec_off_one_word_rejected_at_construction(self, bits):
+        # The residue planes lift back to one 64-bit word, so any other
+        # ring is refused before a node is registered.
+        network = Network()
+        codec = FixedPointCodec(20, bits, max_terms=3)
+        with pytest.raises(RingWidthError, match=f"ring is {bits} bits"):
+            ThresholdSummationProtocol(network, ["a", "b", "c"], "r", codec=codec)
+        assert network.node_ids == []
+
+    def test_given_codec_is_used(self, rng):
+        codec = FixedPointCodec(20, 64, max_terms=3)
+        protocol = ThresholdSummationProtocol(Network(), ["a", "b", "c"], "r", codec=codec)
+        assert protocol.codec is codec
+        values = {p: rng.normal(size=4) for p in ("a", "b", "c")}
+        total = sum(codec.decode(codec.encode_array(v)) for v in values.values())
+        assert np.array_equal(protocol.sum_vectors(values), total)
 
     @pytest.mark.parametrize("keys", [("s",), ("s", "t", "u")], ids=["missing", "extra"])
     @pytest.mark.parametrize(

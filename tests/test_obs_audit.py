@@ -22,25 +22,46 @@ from repro.data.synthetic import make_blobs
 from repro.obs.audit import AuditViolation, ProtocolAuditError, ProtocolAuditLog
 
 
-def _clean_masked_round(log, participants=("m0", "m1", "m2")):
-    """Feed one well-formed fresh-mode secure-sum round."""
-    log.begin_round("secure-sum", list(participants))
-    for sender in participants:
-        for receiver in participants:
-            if sender == receiver:
-                continue
-            log.mask_applied(sender, receiver)
-            log.mask_removed(receiver, sender)
-    for p in participants:
+PARTICIPANTS = ("m0", "m1", "m2")
+
+
+def _feed_round(
+    log,
+    *,
+    participants=PARTICIPANTS,
+    applied=None,
+    removed=None,
+    pads=(),
+    sent=PARTICIPANTS,
+    received=PARTICIPANTS,
+    **round_kwargs,
+):
+    """Feed one round and close it.  ``applied`` maps each generator to
+    its targets and ``removed`` each receiver to its sources (by default
+    a balanced fresh-mode exchange among ``participants``)."""
+    everyone = {p: [q for q in participants if q != p] for p in participants}
+    log.begin_round(round_kwargs.pop("protocol", "secure-sum"), list(participants), **round_kwargs)
+    for generator, targets in (everyone if applied is None else applied).items():
+        log.mask_applied(generator, targets)
+    for receiver, sources in (everyone if removed is None else removed).items():
+        log.mask_removed(receiver, sources)
+    for a, b in pads:
+        log.pad_derived(a, b)
+    for p in sent:
         log.share_sent(p)
+    for p in received:
         log.share_received(p)
     return log.end_round()
+
+
+def _messages(record):
+    return [(v.rule, v.message) for v in record.violations]
 
 
 class TestRoundFeed:
     def test_clean_round_is_ok(self):
         log = ProtocolAuditLog()
-        record = _clean_masked_round(log)
+        record = _feed_round(log)
         assert record.ok
         assert log.ok
         assert record.round_index == 0
@@ -48,7 +69,7 @@ class TestRoundFeed:
     def test_mask_imbalance_detected(self):
         log = ProtocolAuditLog()
         log.begin_round("secure-sum", ["m0", "m1"])
-        log.mask_applied("m0", "m1")
+        log.mask_applied("m0", ["m1"])
         # m1 never nets the mask off.
         log.share_sent("m0")
         log.share_sent("m1")
@@ -125,10 +146,10 @@ class TestRoundFeed:
     def test_discarded_round_is_neither_checked_nor_recorded(self):
         log = ProtocolAuditLog()
         log.begin_round("secure-sum", ["m0", "m1"])
-        log.mask_applied("m0", "m1")  # half a round: unbalanced
+        log.mask_applied("m0", ["m1"])  # half a round: unbalanced
         log.discard_round()
         log.discard_round()  # no open round: a no-op
-        record = _clean_masked_round(log)
+        record = _feed_round(log)
         assert log.rounds == [record]
         assert record.round_index == 0
         assert log.ok
@@ -136,7 +157,7 @@ class TestRoundFeed:
     def test_counters_and_events_emitted(self):
         profiler = Profiler()
         log = ProtocolAuditLog(metrics=profiler, tracer=profiler.tracer)
-        _clean_masked_round(log)
+        _feed_round(log)
         log.begin_round("secure-sum", ["solo"])
         log.share_sent("solo")
         log.share_received("solo")
@@ -149,7 +170,7 @@ class TestRoundFeed:
 
     def test_summary_is_ledger_ready(self):
         log = ProtocolAuditLog()
-        _clean_masked_round(log)
+        _feed_round(log)
         summary = log.summary()
         assert summary["ok"] is True
         assert summary["n_rounds"] == 1
@@ -208,8 +229,9 @@ class TestSecureSumIntegration:
         assert [r.ok for r in audit.rounds] == [True, False, True]
         bad = audit.rounds[1]
         assert bad.round_index == 1
-        assert {v.rule for v in bad.violations} == {"mask-balance"}
-        assert any("m0" in v.message and "m1" in v.message for v in bad.violations)
+        assert _messages(bad) == [
+            ("mask-balance", "round 1: mask m0->m1: applied 1 times but removed 0 times"),
+        ]
 
     def test_prg_pad_discipline_holds_across_rounds(self):
         audit = ProtocolAuditLog()
@@ -262,3 +284,218 @@ class TestTrainerIntegration:
         model = PrivacyPreservingSVM(max_iter=3, seed=0, secure=False).fit(parts)
         assert model.audit_log_ is not None
         assert model.audit_log_.rounds == []
+
+
+
+class TestViolationMessages:
+    """Every violation message, pinned word for word, including the
+    order in which one round reports several."""
+
+    def test_missing_mask(self):
+        record = _feed_round(
+            ProtocolAuditLog(), removed={"m0": ["m1", "m2"], "m1": ["m2"], "m2": ["m0", "m1"]}
+        )
+        assert _messages(record) == [
+            ("mask-balance", "round 0: mask m0->m1: applied 1 times but removed 0 times"),
+        ]
+
+    def test_duplicated_mask(self):
+        record = _feed_round(
+            ProtocolAuditLog(),
+            applied={"m0": ["m1", "m2", "m2"], "m1": ["m0", "m2"], "m2": ["m0", "m1"]},
+            removed={"m0": ["m1", "m2"], "m1": ["m0", "m2", "m0"], "m2": ["m0", "m1"]},
+        )
+        assert _messages(record) == [
+            ("mask-balance", "round 0: mask m0->m1: applied 1 times but removed 2 times"),
+            ("mask-balance", "round 0: mask m0->m2: applied 2 times but removed 1 times"),
+        ]
+
+    def test_foreign_mask(self):
+        record = _feed_round(
+            ProtocolAuditLog(),
+            removed={"m0": ["m1", "m2"], "m1": ["m0", "m2", "mx"], "m2": ["m0", "m1"]},
+        )
+        assert _messages(record) == [
+            ("mask-balance", "round 0: mask mx->m1: applied 0 times but removed 1 times"),
+        ]
+
+    def test_missing_share(self):
+        record = _feed_round(ProtocolAuditLog(), sent=("m0", "m2"), received=("m0", "m2"))
+        assert _messages(record) == [
+            ("share-count", "round 0: participant m1 sent 0 shares (expected 1)"),
+            ("share-count", "round 0: reducer consumed 2 shares, expected 3"),
+        ]
+
+    def test_duplicate_share(self):
+        record = _feed_round(ProtocolAuditLog(), sent=("m0", "m1", "m2", "m1"))
+        assert _messages(record) == [
+            ("share-count", "round 0: participant m1 sent 2 shares (expected 1)"),
+        ]
+
+    def test_unexpected_share(self):
+        record = _feed_round(
+            ProtocolAuditLog(),
+            sent=("mz", "m0", "m1", "m2", "my"),
+            received=("m0", "m1", "m2", "my"),
+        )
+        assert _messages(record) == [
+            ("share-count", "round 0: unexpected share from my"),
+            ("share-count", "round 0: unexpected share from mz"),
+            ("share-count", "round 0: reducer consumed 4 shares, expected 3"),
+        ]
+
+    def test_wrong_reducer_count(self):
+        record = _feed_round(ProtocolAuditLog(), received=("m0", "m1"))
+        assert _messages(record) == [
+            ("share-count", "round 0: reducer consumed 2 shares, expected 3"),
+        ]
+
+    def test_expected_senders_replace_participants(self):
+        record = _feed_round(
+            ProtocolAuditLog(),
+            protocol="threshold-sum",
+            applied={},
+            removed={},
+            sent=("m0", "m2"),
+            received=("m0", "m2"),
+            threshold=2,
+            expected_senders=["m0", "m1"],
+        )
+        assert _messages(record) == [
+            ("share-count", "round 0: participant m1 sent 0 shares (expected 1)"),
+            ("share-count", "round 0: unexpected share from m2"),
+            ("reconstruction", "round 0: round ended without reconstruction"),
+        ]
+
+    def _prg_log(self):
+        log = ProtocolAuditLog()
+        for a, b in (("m0", "m1"), ("m0", "m2")):
+            log.seed_agreed(b, a)  # stored as the sorted pair
+        return log
+
+    def test_unagreed_pad(self):
+        record = _feed_round(
+            self._prg_log(),
+            applied={},
+            removed={},
+            pads=[("m1", "m0"), ("m0", "m2"), ("m2", "m1")],
+        )
+        assert _messages(record) == [
+            ("pair-seed", "round 0: pad derived for pair m1/m2 without an agreed seed"),
+        ]
+
+    def test_reused_and_missing_pads(self):
+        record = _feed_round(
+            self._prg_log(), applied={}, removed={}, pads=[("m0", "m1"), ("m1", "m0")]
+        )
+        assert _messages(record) == [
+            (
+                "pair-seed",
+                "round 0: pair seed m0/m1 used 2 times this round (must be exactly once)",
+            ),
+            ("pair-seed", "round 0: no pad derived for pair m0/m2 this round"),
+            ("pair-seed", "round 0: no pad derived for pair m1/m2 this round"),
+        ]
+
+    def test_reused_pad_among_all_pairs(self):
+        log = self._prg_log()
+        log.seed_agreed("m1", "m2")
+        record = _feed_round(
+            log,
+            applied={},
+            removed={},
+            pads=[("m0", "m1"), ("m0", "m2"), ("m1", "m2"), ("m2", "m0")],
+        )
+        assert _messages(record) == [
+            (
+                "pair-seed",
+                "round 0: pair seed m0/m2 used 2 times this round (must be exactly once)",
+            ),
+        ]
+
+    def test_short_and_failed_reconstruction(self):
+        log = ProtocolAuditLog()
+        log.begin_round("threshold-sum", list(PARTICIPANTS), threshold=3)
+        for p in PARTICIPANTS:
+            log.share_sent(p)
+            log.share_received(p)
+        log.reconstruction(2, ok=False)
+        record = log.end_round()
+        assert _messages(record) == [
+            ("reconstruction", "round 0: reconstructed from 2 shares; threshold is 3"),
+            ("reconstruction", "round 0: reconstruction reported failure"),
+        ]
+
+    def test_participant_floor(self):
+        record = _feed_round(
+            ProtocolAuditLog(participant_floor=4), participants=PARTICIPANTS
+        )
+        assert _messages(record) == [
+            ("participant-floor", "round 0: 3 participants; floor is 4"),
+        ]
+
+    def test_rules_report_in_check_order(self):
+        log = ProtocolAuditLog(participant_floor=4)
+        _feed_round(log)
+        record = _feed_round(
+            log,
+            protocol="threshold-sum",
+            removed={"m0": ["m1", "m2"], "m1": ["m0", "m2"], "m2": ["m0"]},
+            pads=[("m0", "m1")],
+            sent=("m0",),
+            received=("m0",),
+            threshold=2,
+        )
+        assert _messages(record) == [
+            ("participant-floor", "round 1: 3 participants; floor is 4"),
+            ("mask-balance", "round 1: mask m1->m2: applied 1 times but removed 0 times"),
+            ("pair-seed", "round 1: pad derived for pair m0/m1 without an agreed seed"),
+            ("pair-seed", "round 1: no pad derived for pair m0/m2 this round"),
+            ("pair-seed", "round 1: no pad derived for pair m1/m2 this round"),
+            ("share-count", "round 1: participant m1 sent 0 shares (expected 1)"),
+            ("share-count", "round 1: participant m2 sent 0 shares (expected 1)"),
+            ("share-count", "round 1: reducer consumed 1 shares, expected 3"),
+            ("reconstruction", "round 1: round ended without reconstruction"),
+        ]
+
+
+class TestCounterViews:
+    def test_views_count_every_feed(self):
+        log = ProtocolAuditLog()
+        log.seed_agreed("m0", "m1")
+        record = _feed_round(
+            log,
+            applied={"m0": ["m1", "m2", "m1"], "m2": ["m0"]},
+            removed={"m1": ["m0"], "m0": ["m2", "m2"]},
+            pads=[("m1", "m0"), ("m0", "m1")],
+            sent=("m0", "m1", "m0"),
+            received=("m2",),
+        )
+        assert record.masks_applied == {("m0", "m1"): 2, ("m0", "m2"): 1, ("m2", "m0"): 1}
+        assert record.masks_removed == {("m1", "m0"): 1, ("m0", "m2"): 2}
+        assert record.pads_derived == {("m0", "m1"): 2}
+        assert record.shares_sent == {"m0": 2, "m1": 1}
+        assert record.shares_received == {"m2": 1}
+        summary = record.as_dict()
+        assert [summary[key] for key in ("masks_applied", "masks_removed", "pads_derived")] == [4, 3, 2]
+        assert [summary["shares_sent"], summary["shares_received"]] == [3, 1]
+
+    def test_views_of_a_protocol_round_count_each_mask_once(self):
+        audit = ProtocolAuditLog()
+        protocol, values = _protocol("fresh", audit, n=4)
+        protocol.sum_vectors(values)
+        (record,) = audit.rounds
+        pairs = {(a, b) for a in protocol.participants for b in protocol.participants if a != b}
+        assert record.masks_applied == dict.fromkeys(pairs, 1)
+        assert record.masks_removed == dict.fromkeys(pairs, 1)
+        assert record.shares_sent == record.shares_received == dict.fromkeys(protocol.participants, 1)
+
+    @pytest.mark.parametrize("feed", ["mask_applied", "mask_removed"])
+    def test_a_bare_str_is_refused(self, feed):
+        log = ProtocolAuditLog()
+        log.begin_round("secure-sum", ["m0", "m1"])
+        with pytest.raises(TypeError, match="not a str"):
+            getattr(log, feed)("m0", "m1")
+        log.discard_round()
+        with pytest.raises(RuntimeError, match="no audit round is open"):
+            getattr(log, feed)("m0", ["m1"])

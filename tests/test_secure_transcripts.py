@@ -1,8 +1,9 @@
 """Secure-sum wire transcripts replayed against a pinned fixture.
 
 ``fixtures/secure_transcripts.json`` holds, for tiny fresh-mode secure
-fits of H-lin and V-lin and for single ``SecureSummationProtocol``
-rounds in a 128-bit ring (fresh and prg):
+fits of H-lin and V-lin, a tiny V-lin Shamir threshold fit (t = 3 of 4
+learners, one learner dropping in round 1) and single
+``SecureSummationProtocol`` rounds in a 128-bit ring (fresh and prg):
 
 * every message on the wire as ``(seq, src, dst, kind, size_bytes,
   digest)``, the digest a SHA-256 of the payload's residues (or of its
@@ -33,10 +34,11 @@ from repro.core.partitioning import horizontal_partition, vertical_partition
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secure_sum import SecureSummationProtocol
+from repro.crypto.threshold_sum import ThresholdSumAggregator, ThresholdSummationProtocol
 from repro.data.synthetic import make_linear_task
 
 PATH = Path(__file__).parent / "fixtures" / "secure_transcripts.json"
-FITS = ["h-lin-fresh", "v-lin-fresh"]
+FITS = ["h-lin-fresh", "v-lin-fresh", "v-lin-threshold"]
 ROUNDS = {
     "ring128-fresh": ({}, "fresh"),
     "ring128-prg": ({}, "prg"),
@@ -54,6 +56,9 @@ def _digest(payload: Any) -> str:
         elif isinstance(value, np.ndarray):
             h.update(f"array:{value.shape}:".encode())
             h.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        elif isinstance(value, tuple):
+            for item in value:
+                feed(item)
         elif isinstance(value, dict):
             for key in sorted(value):
                 h.update(f"key:{key}:".encode())
@@ -81,29 +86,38 @@ def _transcript(network: Network) -> dict:
 
 
 def _observe_fit(name: str) -> dict:
-    """A tiny fresh-mode secure fit, recording each round's decoded sum."""
-    partitioning = name.split("-")[0]
+    """A tiny secure fit, recording each round's decoded sum."""
+    partitioning, _, mode = name.split("-")
     data = make_linear_task(60, 5, margin=0.5, seed=3)
     split = horizontal_partition if partitioning == "h" else vertical_partition
+    if mode == "threshold":
+        protocol_class: type = ThresholdSummationProtocol
+        n_learners = 4
+        aggregator = ThresholdSumAggregator(
+            threshold=3, seed=0, dropout_schedule={1: {"learner-2"}}
+        )
+        options: dict[str, Any] = {"aggregator": aggregator}
+    else:
+        protocol_class, n_learners, options = SecureSummationProtocol, 3, {"mask_mode": mode}
     sums: list[str] = []
-    original = SecureSummationProtocol.sum_vectors
+    original = protocol_class.sum_vectors
 
-    def recording(self: SecureSummationProtocol, values: dict) -> np.ndarray:
-        total = original(self, values)
+    def recording(self: Any, values: dict, **kwargs: Any) -> np.ndarray:
+        total = original(self, values, **kwargs)
         sums.append(_digest(np.asarray(total)))
         return total
 
-    SecureSummationProtocol.sum_vectors = recording  # type: ignore[method-assign]
+    protocol_class.sum_vectors = recording
     try:
         model = PrivacyPreservingSVM(
             "horizontal" if partitioning == "h" else "vertical",
             max_iter=3,
-            mask_mode="fresh",
             seed=0,
             on_health="ignore",
-        ).fit(split(data, 3, seed=0))
+            **options,
+        ).fit(split(data, n_learners, seed=0))
     finally:
-        SecureSummationProtocol.sum_vectors = original  # type: ignore[method-assign]
+        protocol_class.sum_vectors = original
     return {**_transcript(model.network_), "decoded_sums": sums}
 
 

@@ -76,7 +76,7 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_hotpaths.json"
 RING_BITS = (64, 128)
 #: Largest threshold-round time, as a multiple of a fresh 64-bit round
 #: of the same size, that ``--check`` accepts.
-THRESHOLD_MAX_RATIO = 25.0
+THRESHOLD_MAX_RATIO = 10.0
 #: Largest audited fresh round, as a multiple of the same round without
 #: an audit log in the same run, that ``--check`` accepts.
 AUDIT_MAX_RATIO = 1.2

@@ -110,8 +110,9 @@ class PrivacyPreservingSVM(Classifier):
         Explicit :class:`~repro.cluster.twister.Aggregator` instance
         overriding ``secure``/``mask_mode`` — e.g. the dropout-robust
         :class:`~repro.crypto.threshold_sum.ThresholdSumAggregator`.
-        An override whose ``audit`` or ``codec`` is ``None`` gets the
-        run's audit log or codec.
+        An override whose ``audit`` or ``codec`` is ``None`` gets each
+        fit's audit log or codec; one that an earlier fit of this
+        trainer wired in is replaced.
     fractional_bits:
         Fixed-point precision of the secure aggregation.  The secure-sum
         ring is the smallest whole number of 64-bit words that keeps a
@@ -175,6 +176,8 @@ class PrivacyPreservingSVM(Classifier):
         self.secure = bool(secure)
         self.mask_mode = mask_mode
         self.aggregator_override = aggregator
+        # The audit log and codec this trainer last wired into the override.
+        self._wired: dict[str, Any] = {}
         self.fractional_bits = int(fractional_bits)
         self.eval_learner = int(eval_learner)
         self.seed = seed
@@ -319,14 +322,16 @@ class PrivacyPreservingSVM(Classifier):
         }
 
     def _make_aggregator(self, audit: ProtocolAuditLog | None = None) -> Aggregator:
-        if self.aggregator_override is not None:
-            # Wire the run's audit log and codec into a caller-supplied
-            # aggregator that supports them but has none of its own.
-            if getattr(self.aggregator_override, "audit", False) is None:
-                self.aggregator_override.audit = audit
-            if getattr(self.aggregator_override, "codec", False) is None:
-                self.aggregator_override.codec = self._make_codec()
-            return self.aggregator_override
+        override = self.aggregator_override
+        if override is not None:
+            # Give an override without its own audit log or codec this
+            # fit's, replacing what an earlier fit wired in.
+            for name, value in (("audit", audit), ("codec", self._make_codec())):
+                current = getattr(override, name, False)
+                if current is None or current is self._wired.get(name):
+                    setattr(override, name, value)
+                    self._wired[name] = value
+            return override
         if not self.secure:
             return PlaintextAggregator()
         return SecureSumAggregator(

@@ -19,7 +19,8 @@ in numpy:
 
 * :func:`word_planes` reduces signed words mod each prime;
 * :func:`shamir_share` evaluates random polynomials at ``x = 1..n`` by
-  vectorized Horner, with every coefficient drawn in one call;
+  vectorized Horner, with every coefficient drawn in one call and a
+  reduction mod p only when a partial value could pass 2^64;
 * :func:`add_shares` sums share planes (a share of the summed secret);
 * :func:`shamir_reconstruct` applies Lagrange-at-zero weights per prime;
 * :func:`planes_to_words` lifts back to the 64-bit word by Garner's CRT.
@@ -86,14 +87,19 @@ def shamir_share(
         raise ValueError(f"n_shares ({n_shares}) must be >= threshold ({threshold})")
     coeffs = rng.integers(0, _P, size=(threshold - 1, *planes.shape), dtype=np.uint64)
     xs = np.arange(1, n_shares + 1, dtype=np.uint64)[:, None, None]
-    # Horner from the top coefficient down to the secret; every partial
-    # value stays below p < 2^32, so ``acc * x + c`` fits a uint64.
+    # Horner from the top coefficient down to the secret.  A step
+    # ``acc * x + c`` (x <= n_shares, c < 2^32) raises the bound on
+    # ``acc`` to ``bound * n_shares + 2^32``; reduce only if it could pass 2^64.
     acc = np.zeros((n_shares, *planes.shape), dtype=np.uint64)
+    bound = 0
     for c in (*coeffs[::-1], planes):
+        if bound * n_shares + 2**32 > 2**64:
+            acc %= _P
+            bound = 2**32
         acc *= xs
         acc += c
-        acc %= _P
-    return acc
+        bound = bound * n_shares + 2**32
+    return acc % _P
 
 
 def add_shares(shares: Sequence[np.ndarray]) -> np.ndarray:

@@ -18,6 +18,8 @@ from repro.core.trainer import PrivacyPreservingSVM
 from repro.core.vertical_kernel import VerticalKernelSVM
 from repro.core.vertical_linear import VerticalLinearSVM
 from repro.crypto.fixed_point import FixedPointCodec, ring_bits
+from repro.crypto.secure_sum import SecureSumAggregator
+from repro.crypto.threshold_sum import ThresholdSumAggregator
 from repro.data.synthetic import make_linear_task
 from repro.svm.kernels import RBFKernel
 
@@ -344,3 +346,38 @@ class TestSecureSumRing:
         assert len(model.history_) == 3
         assert len(model.audit_log_.rounds) == 3
         assert model.audit_log_.ok
+
+
+class TestAggregatorReuse:
+    @pytest.mark.parametrize(
+        "make_aggregator, kind, per_fit",
+        [
+            (lambda: SecureSumAggregator(seed=0), "mask", 18),
+            (
+                lambda: ThresholdSumAggregator(
+                    threshold=2, seed=0, dropout_schedule={1: {"learner-1"}}
+                ),
+                "threshold-agg-share",
+                8,
+            ),
+        ],
+        ids=["fresh", "threshold"],
+    )
+    def test_each_fit_runs_on_its_own_network_and_audit_log(
+        self, make_aggregator, kind, per_fit
+    ):
+        # One aggregator object given to two fits: the second fit's
+        # traffic crosses its own network, its rounds land in its own
+        # audit log, and the dropout schedule counts its rounds from 0.
+        parts = horizontal_partition(make_linear_task(60, 5, margin=0.5, seed=3), 3, seed=0)
+        model = PrivacyPreservingSVM(
+            max_iter=3, seed=0, on_health="ignore", aggregator=make_aggregator()
+        )
+        runs = []
+        for _ in range(2):
+            model.fit(parts)
+            runs.append((model.network_, model.audit_log_))
+        assert runs[0][0] is not runs[1][0] and runs[0][1] is not runs[1][1]
+        for network, audit in runs:
+            assert network.messages_sent(kind) == per_fit
+            assert len(audit.rounds) == 3 and audit.ok

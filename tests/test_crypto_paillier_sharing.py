@@ -130,6 +130,26 @@ class TestShamir:
         with pytest.raises(ValueError, match="duplicate"):
             shamir_reconstruct([1, 1], shares[[0, 0]])
 
+    @pytest.mark.parametrize(
+        "n_shares, threshold", [(8, 5), (8, 8), (64, 33), (200, 150)]
+    )
+    def test_shares_equal_horner_reduced_at_every_step(self, n_shares, threshold):
+        # The reference reduces mod p after every Horner step, from the
+        # same coefficient draw.  At (64, 33) and (200, 150) the running
+        # bound forces reductions part-way through the pass.
+        words = np.random.default_rng(threshold).integers(-(2**62), 2**62, size=40)
+        secret = planes_of(*words)
+        shares = shamir_share(secret, n_shares, threshold, np.random.default_rng(n_shares))
+        primes = np.array(SHARE_PRIMES, dtype=np.uint64)
+        coeffs = np.random.default_rng(n_shares).integers(
+            0, primes, size=(threshold - 1, *secret.shape), dtype=np.uint64
+        )
+        xs = np.arange(1, n_shares + 1, dtype=np.uint64)[:, None, None]
+        expected = np.zeros((n_shares, *secret.shape), dtype=np.uint64)
+        for c in (*coeffs[::-1], secret):
+            expected = (expected * xs + c) % primes
+        assert np.array_equal(shares, expected)
+
     def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
             shamir_share(planes_of(1), 2, 3, rng)

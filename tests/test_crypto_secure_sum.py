@@ -1,4 +1,9 @@
-"""Tests for the paper's coalition-resistant secure summation protocol."""
+"""Tests for the paper's coalition-resistant secure summation protocol.
+
+What the round engine owns (participant and value checks, the overflow
+check before any message, the drain and audit discard of a failed
+round) is tested here once for every scheme of :data:`SCHEMES`.
+"""
 
 import pickle
 
@@ -7,8 +12,24 @@ import pytest
 
 from repro.cluster.network import Network, NetworkError
 from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto import threshold_sum
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
+from repro.crypto.threshold_sum import ThresholdSummationProtocol
 from repro.obs.audit import ProtocolAuditLog
+
+#: Every scheme on the round engine: ``make(network, participant_ids,
+#: **kwargs)`` builds one with reducer ``"red"``.
+SCHEMES = {
+    "fresh": lambda network, ids, **kw: SecureSummationProtocol(
+        network, ids, "red", mode="fresh", **kw
+    ),
+    "prg": lambda network, ids, **kw: SecureSummationProtocol(
+        network, ids, "red", mode="prg", **kw
+    ),
+    "threshold": lambda network, ids, **kw: ThresholdSummationProtocol(
+        network, ids, "red", threshold=2, **kw
+    ),
+}
 
 
 def make_protocol(n=4, mode="fresh", seed=0):
@@ -134,20 +155,24 @@ class TestBatchedNetting:
         }
 
     def test_overflow_raises_before_any_mask_is_drawn(self, monkeypatch):
-        participants = [f"m{i}" for i in range(4)]
-        network = Network()
-        codec = FixedPointCodec(modulus_bits=64, max_terms=4)
-        protocol = SecureSummationProtocol(network, participants, "red", codec=codec, seed=7)
-
+        # The engine encodes every input before the scheme draws a mask
+        # or a share coefficient, so nothing reaches the wire.
         def no_draws(*args, **kwargs):
-            raise AssertionError("a mask was drawn before the overflow check")
+            raise AssertionError("randomness was drawn before the overflow check")
 
         monkeypatch.setattr(FixedPointCodec, "random_vector_array", no_draws)
-        values = {p: np.zeros(3) for p in participants}
-        values["m3"] = np.array([0.0, 2.0 * codec.max_magnitude, 0.0])
-        with pytest.raises(OverflowError, match="overflow-safe bound"):
-            protocol.sum_vectors(values)
-        assert network.message_log == []
+        monkeypatch.setattr(threshold_sum, "shamir_share", no_draws)
+        participants = [f"m{i}" for i in range(4)]
+        for name, make in SCHEMES.items():
+            network = Network()
+            codec = FixedPointCodec(modulus_bits=64, max_terms=4)
+            protocol = make(network, participants, codec=codec, seed=7)
+            sent_at_setup = len(network.message_log)  # prg: the seed exchange
+            values = {p: np.zeros(3) for p in participants}
+            values["m3"] = np.array([0.0, 2.0 * codec.max_magnitude, 0.0])
+            with pytest.raises(OverflowError, match="overflow-safe bound"):
+                protocol.sum_vectors(values)
+            assert len(network.message_log) == sent_at_setup, name
 
     def test_dropped_mask_still_flagged_by_audit(self, rng):
         audit = ProtocolAuditLog()
@@ -264,17 +289,14 @@ class TestMaskingHidesValues:
 
 
 class TestFailedRound:
-    @pytest.mark.parametrize("mode", ["fresh", "prg"])
-    def test_overflowing_round_leaves_no_audit_round_open(self, mode, rng):
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_overflowing_round_leaves_no_audit_round_open(self, scheme, rng):
         # The overflow propagates unchanged, and the next round runs
         # with a clean audit instead of raising "never closed".
         audit = ProtocolAuditLog()
-        network = Network()
         participants = [f"m{i}" for i in range(3)]
         codec = FixedPointCodec(modulus_bits=64, max_terms=3)
-        protocol = SecureSummationProtocol(
-            network, participants, "red", codec=codec, mode=mode, seed=0, audit=audit
-        )
+        protocol = SCHEMES[scheme](Network(), participants, codec=codec, seed=0, audit=audit)
         values = {p: rng.normal(size=4) for p in participants}
         values["m2"] = np.full(4, 2.0 * codec.max_magnitude)
         with pytest.raises(OverflowError, match="overflow-safe bound"):
@@ -284,59 +306,64 @@ class TestFailedRound:
             protocol.sum_vectors(values), sum(values.values()), atol=1e-9
         )
         assert audit.ok
-        assert [r.protocol for r in audit.rounds] == ["secure-sum"]
+        assert [r.protocol for r in audit.rounds] == [protocol.audit_name]
 
-    @pytest.mark.parametrize("mode", ["fresh", "prg"])
-    def test_round_with_a_failed_node_leaves_no_message_behind(self, mode, rng):
-        # m0's mask to m1 is already queued when the send to the failed
-        # m2 raises; the next round must not net that stale mask.
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_round_with_a_failed_node_leaves_no_message_behind(self, scheme, rng):
+        # m0's first message to m1 is already queued when the send to
+        # the failed m2 raises; the next round must not consume it.
         audit = ProtocolAuditLog()
         network = Network()
         participants = [f"m{i}" for i in range(3)]
-        protocol = SecureSummationProtocol(
-            network, participants, "red", mode=mode, seed=0, audit=audit
-        )
+        protocol = SCHEMES[scheme](network, participants, seed=0, audit=audit)
         values = {p: rng.normal(size=4) for p in participants}
         network.fail_node("m2")
         with pytest.raises(NetworkError, match="m2"):
             protocol.sum_vectors(values)
         network.recover_node("m2")
         for node in [*participants, "red"]:
-            for kind in ("mask", "masked-share"):
+            for kind in protocol.message_kinds:
                 assert network.pending(node, kind) == 0
         np.testing.assert_allclose(
             protocol.sum_vectors(values), sum(values.values()), atol=1e-9
         )
         assert audit.ok
-        assert [r.protocol for r in audit.rounds] == ["secure-sum"]
+        assert [r.protocol for r in audit.rounds] == [protocol.audit_name]
 
 
 class TestValidation:
     def test_needs_two_participants(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            SecureSummationProtocol(Network(), ["only"], "red")
+        for name, make in SCHEMES.items():
+            with pytest.raises(ValueError, match="at least 2 participants"):
+                make(Network(), ["only"])
+            with pytest.raises(ValueError, match="at least 2 participants"):
+                make(Network(), [])
 
     def test_duplicate_participants(self):
-        with pytest.raises(ValueError, match="unique"):
-            SecureSummationProtocol(Network(), ["a", "a"], "red")
+        for make in SCHEMES.values():
+            with pytest.raises(ValueError, match="unique"):
+                make(Network(), ["a", "a"])
 
     def test_reducer_cannot_participate(self):
-        with pytest.raises(ValueError, match="reducer"):
-            SecureSummationProtocol(Network(), ["a", "red"], "red")
+        for make in SCHEMES.values():
+            with pytest.raises(ValueError, match="reducer"):
+                make(Network(), ["a", "red"])
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             SecureSummationProtocol(Network(), ["a", "b"], "red", mode="magic")
 
     def test_wrong_participant_set(self):
-        _, participants, protocol = make_protocol()
-        with pytest.raises(ValueError, match="cover exactly"):
-            protocol.sum_vectors({"m0": np.ones(2)})
+        for make in SCHEMES.values():
+            protocol = make(Network(), ["m0", "m1", "m2"])
+            with pytest.raises(ValueError, match="cover exactly"):
+                protocol.sum_vectors({"m0": np.ones(2)})
 
     def test_mismatched_lengths(self):
-        _, participants, protocol = make_protocol(n=2)
-        with pytest.raises(ValueError, match="length"):
-            protocol.sum_vectors({"m0": np.ones(2), "m1": np.ones(3)})
+        for make in SCHEMES.values():
+            protocol = make(Network(), ["m0", "m1"])
+            with pytest.raises(ValueError, match="length"):
+                protocol.sum_vectors({"m0": np.ones(2), "m1": np.ones(3)})
 
 
 class TestAggregator:
@@ -361,13 +388,6 @@ class TestAggregator:
         aggregator = SecureSumAggregator(seed=0)
         sums = aggregator.aggregate(outputs, "red", network)
         assert sums["mat"].shape == (2, 3)
-
-    def test_rejects_inconsistent_keys(self, rng):
-        network = Network()
-        outputs = {"m0": {"a": np.ones(2)}, "m1": {"b": np.ones(2)}}
-        aggregator = SecureSumAggregator(seed=0)
-        with pytest.raises(ValueError, match="keys"):
-            aggregator.aggregate(outputs, "red", network)
 
     def test_custom_codec_used(self, rng):
         network = Network()

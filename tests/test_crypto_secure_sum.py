@@ -389,6 +389,13 @@ class TestAggregator:
         sums = aggregator.aggregate(outputs, "red", network)
         assert sums["mat"].shape == (2, 3)
 
+    def test_rejects_inconsistent_keys(self, rng):
+        network = Network()
+        outputs = {"m0": {"a": np.ones(2)}, "m1": {"b": np.ones(2)}}
+        aggregator = SecureSumAggregator(seed=0)
+        with pytest.raises(ValueError, match="keys"):
+            aggregator.aggregate(outputs, "red", network)
+
     def test_custom_codec_used(self, rng):
         network = Network()
         codec = FixedPointCodec(fractional_bits=20, max_terms=8)

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.cluster.network import Network
+from repro.cluster.network import Network, NetworkError
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import (
     SHARE_PRIMES,
@@ -22,6 +22,7 @@ from repro.crypto.threshold_sum import (
     ThresholdSumAggregator,
     ThresholdSummationProtocol,
 )
+from repro.obs.audit import ProtocolAuditLog
 
 
 def make_protocol(n=5, threshold=3, seed=0):
@@ -102,6 +103,35 @@ class TestCorrectness:
 
 
 class TestRobustnessLimits:
+    def test_needs_two_participants(self):
+        with pytest.raises(ValueError, match="at least 2 participants"):
+            ThresholdSummationProtocol(Network(), ["only"], "red")
+        with pytest.raises(ValueError, match="at least 2 participants"):
+            ThresholdSummationProtocol(Network(), [], "red")
+
+    def test_round_with_a_failed_node_leaves_no_share_behind(self, rng):
+        # m0's share to m1 is already queued when the send to the failed
+        # m2 raises; the next round must not add that stale share.
+        audit = ProtocolAuditLog()
+        network = Network()
+        participants = [f"m{i}" for i in range(4)]
+        protocol = ThresholdSummationProtocol(
+            network, participants, "red", threshold=3, seed=0, audit=audit
+        )
+        values = {p: rng.normal(size=3) for p in participants}
+        network.fail_node("m2")
+        with pytest.raises(NetworkError, match="m2"):
+            protocol.sum_vectors(values)
+        network.recover_node("m2")
+        for node in [*participants, "red"]:
+            for kind in ("threshold-share", "threshold-agg-share"):
+                assert network.pending(node, kind) == 0
+        np.testing.assert_allclose(
+            protocol.sum_vectors(values), sum(values.values()), atol=1e-8
+        )
+        assert audit.ok
+        assert [r.protocol for r in audit.rounds] == ["threshold-sum"]
+
     def test_too_many_dropouts_rejected(self, rng):
         _, participants, protocol = make_protocol(n=5, threshold=4)
         values = {p: rng.normal(size=2) for p in participants}
@@ -118,6 +148,10 @@ class TestRobustnessLimits:
         network = Network()
         with pytest.raises(ValueError, match="threshold"):
             ThresholdSummationProtocol(network, ["a", "b", "c"], "r", threshold=5)
+
+    def test_reducer_not_participant(self):
+        with pytest.raises(ValueError, match="reducer"):
+            ThresholdSummationProtocol(Network(), ["a", "r"], "r", threshold=2)
 
     @pytest.mark.parametrize("bits", [128, 48])
     def test_codec_off_one_word_rejected_at_construction(self, bits):
@@ -152,6 +186,15 @@ class TestRobustnessLimits:
         with pytest.raises(ValueError, match="mapper 'm1' produced keys"):
             make_aggregator().aggregate(outputs, "red", network)
         assert network.messages_sent() == 0
+
+    def test_value_past_the_bound_sends_nothing(self):
+        network, participants, protocol = make_protocol(n=4, threshold=3)
+        values = {p: np.zeros(3) for p in participants}
+        values["m2"][1] = -protocol.codec.max_magnitude
+        with pytest.raises(OverflowError, match="overflow-safe bound"):
+            protocol.sum_vectors(values)
+        assert network.messages_sent() == 0
+
 
 class TestPrivacyShape:
     def test_reducer_sees_only_aggregated_shares(self, rng):
